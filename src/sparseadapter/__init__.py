@@ -7,8 +7,8 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-from .adapters import AdapterSpec, LargeSparseConfig, adapter_forward, \
-    insert_adapters, large_sparse_config, trainable_param_report
+from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters, \
+    trainable_param_report
 from .autodiff import Tape, Tensor, backward, hvp, no_grad
 from .data import SyntheticTaskSpec, TaskData, generate
 from .model import EncoderConfig, Model, ParamGroup, build_encoder, \
@@ -22,11 +22,11 @@ from .training import OptimizerConfig, RunMetrics, evaluate, lr_at, \
 __all__ = [
     "AdapterSpec", "EncoderConfig", "LargeSparseConfig", "Model",
     "OptimizerConfig", "ParamGroup", "PruneMask", "RunMetrics", "ScoreMap",
-    "SyntheticTaskSpec", "Tape", "TaskData", "Tensor", "adapter_forward",
-    "apply_mask", "backward", "build_encoder", "compute_mask", "er_sparsities",
+    "SyntheticTaskSpec", "Tape", "TaskData", "Tensor", "apply_mask",
+    "backward", "build_encoder", "compute_mask", "er_sparsities",
     "evaluate", "freeze_backbone", "generate", "hvp", "insert_adapters",
-    "large_sparse_config", "load_checkpoint", "load_mask", "lr_at",
-    "masked_adam_step", "no_grad", "prune_by_percentile", "save_checkpoint",
-    "save_mask", "score_er", "score_grasp", "score_magnitude", "score_random",
-    "score_snip", "train", "trainable_param_report",
+    "load_checkpoint", "load_mask", "lr_at", "masked_adam_step", "no_grad",
+    "prune_by_percentile", "save_checkpoint", "save_mask", "score_er",
+    "score_grasp", "score_magnitude", "score_random", "score_snip",
+    "train", "trainable_param_report",
 ]

@@ -56,7 +56,8 @@ class AdapterSpec:
 
 @dataclass
 class LargeSparseConfig:
-    """Width-for-density trade at a fixed trainable-kept budget."""
+    """Width-for-density trade at a fixed trainable-kept budget: scale the
+    bottleneck by k and raise sparsity to 1 - 1/k."""
 
     r_base: int
     scale_k: int
@@ -68,11 +69,6 @@ class LargeSparseConfig:
             raise ValueError("scale factor k must be >= 1")
         self.r = self.scale_k * self.r_base
         self.s = 1.0 - 1.0 / self.scale_k
-
-
-def large_sparse_config(r_base: int, k: int) -> LargeSparseConfig:
-    """Scale the bottleneck by k and raise sparsity to 1 - 1/k to hold the budget."""
-    return LargeSparseConfig(r_base=r_base, scale_k=k)
 
 
 class BottleneckAdapter:
@@ -140,11 +136,6 @@ class PrefixSite:
 
     def value_heads(self, bsz: int) -> Tensor:
         return self._heads(self.value, bsz)
-
-
-def adapter_forward(x: Tensor, adapter) -> Tensor:
-    """Apply one adapter site to an activation (residual/bottleneck contract)."""
-    return adapter(x)
 
 
 def _add_bottleneck(model: Model, rng: np.random.Generator, site: str,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -58,7 +59,11 @@ class Tensor:
     leaves (parameters, constants) carry neither.
     """
 
-    __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp", "_fwd")
+    # A vjp that needs its op's own output (exp, tanh, softmax) holds it by weak
+    # reference: a closure over the output would make every graph a reference
+    # cycle, which outlives its step until the cyclic collector happens to run.
+    __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -70,7 +75,6 @@ class Tensor:
         self._op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable | None = None
-        self._fwd: Callable | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,29 +96,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self._op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Light operator sugar; shapes must already match (no implicit broadcasting).
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
-             vjp: Callable, fwd: Callable) -> Tensor:
+             vjp: Callable) -> Tensor:
     """Wrap an op result; attach graph metadata only when gradients are live."""
     data = np.asarray(data, dtype=np.float64)
     if not _all_finite(data):
@@ -127,12 +115,10 @@ def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
         t.requires_grad = True
         t._parents = parents
         t._vjp = vjp
-        t._fwd = fwd
     else:
         t.requires_grad = False
         t._parents = ()
         t._vjp = None
-        t._fwd = None
     return t
 
 
@@ -154,14 +140,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs):
         return g if needs[0] else None, g if needs[1] else None
 
-    return _from_op("add", a.data + b.data, (a, b), vjp, lambda x, y: x + y)
+    return _from_op("add", a.data + b.data, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
     def vjp(g, needs):
         return (neg(g),)
 
-    return _from_op("neg", -a.data, (a,), vjp, lambda x: -x)
+    return _from_op("neg", -a.data, (a,), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -177,7 +163,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (mul(g, b) if needs[0] else None,
                 mul(g, a) if needs[1] else None)
 
-    return _from_op("mul", a.data * b.data, (a, b), vjp, lambda x, y: x * y)
+    return _from_op("mul", a.data * b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -186,7 +172,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def vjp(g, needs):
         return (scale(g, c),)
 
-    return _from_op("scale", a.data * c, (a,), vjp, lambda x: x * c)
+    return _from_op("scale", a.data * c, (a,), vjp)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -195,7 +181,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     def vjp(g, needs):
         return (g,)
 
-    return _from_op("add_scalar", a.data + c, (a,), vjp, lambda x: x + c)
+    return _from_op("add_scalar", a.data + c, (a,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -212,15 +198,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (matmul(g, swap_last2(b)) if needs[0] else None,
                 matmul(swap_last2(a), g) if needs[1] else None)
 
-    return _from_op("matmul", np.matmul(a.data, b.data), (a, b), vjp, np.matmul)
+    return _from_op("matmul", np.matmul(a.data, b.data), (a, b), vjp)
 
 
 def swap_last2(a: Tensor) -> Tensor:
     def vjp(g, needs):
         return (swap_last2(g),)
 
-    return _from_op("swap_last2", np.swapaxes(a.data, -1, -2), (a,), vjp,
-                    lambda x: np.swapaxes(x, -1, -2))
+    return _from_op("swap_last2", np.swapaxes(a.data, -1, -2), (a,), vjp)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -230,8 +215,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     def vjp(g, needs):
         return (permute(g, inv),)
 
-    return _from_op("permute", np.transpose(a.data, axes), (a,), vjp,
-                    lambda x: np.transpose(x, axes))
+    return _from_op("permute", np.transpose(a.data, axes), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -241,8 +225,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def vjp(g, needs):
         return (reshape(g, orig),)
 
-    return _from_op("reshape", np.reshape(a.data, shape), (a,), vjp,
-                    lambda x: np.reshape(x, shape))
+    return _from_op("reshape", np.reshape(a.data, shape), (a,), vjp)
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -256,8 +239,7 @@ def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False)
         gg = g if keepdims or nd == 0 else reshape(g, kd_shape)
         return (broadcast_to(gg, orig),)
 
-    return _from_op("sum", np.sum(a.data, axis=norm, keepdims=keepdims), (a,), vjp,
-                    lambda x: np.sum(x, axis=norm, keepdims=keepdims))
+    return _from_op("sum", np.sum(a.data, axis=norm, keepdims=keepdims), (a,), vjp)
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -274,8 +256,7 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         r = tsum(g, axes=reduce_axes, keepdims=True) if reduce_axes else g
         return (reshape(r, orig),)
 
-    return _from_op("broadcast", np.broadcast_to(a.data, shape), (a,), vjp,
-                    lambda x: np.broadcast_to(x, shape))
+    return _from_op("broadcast", np.broadcast_to(a.data, shape), (a,), vjp)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -283,9 +264,10 @@ def exp(a: Tensor) -> Tensor:
         out_data = np.exp(a.data)
 
     def vjp(g, needs):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
-    out = _from_op("exp", out_data, (a,), vjp, np.exp)
+    out = _from_op("exp", out_data, (a,), vjp)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -295,7 +277,7 @@ def log(a: Tensor) -> Tensor:
 
     with np.errstate(invalid="ignore", divide="ignore"):
         out_data = np.log(a.data)
-    return _from_op("log", out_data, (a,), vjp, np.log)
+    return _from_op("log", out_data, (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -303,9 +285,11 @@ def tanh(a: Tensor) -> Tensor:
 
     def vjp(g, needs):
         # 1 - tanh(x)^2, expressed on the recorded output
+        out = out_ref()
         return (mul(g, add_scalar(neg(mul(out, out)), 1.0)),)
 
-    out = _from_op("tanh", out_data, (a,), vjp, np.tanh)
+    out = _from_op("tanh", out_data, (a,), vjp)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -335,7 +319,7 @@ def powc(a: Tensor, p: float) -> Tensor:
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out_data = _pow_data(a.data, p)
-    return _from_op("pow", out_data, (a,), vjp, lambda x: _pow_data(x, p))
+    return _from_op("pow", out_data, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -345,8 +329,7 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g, needs):
         return (mul(g, gate),)
 
-    return _from_op("relu", np.maximum(a.data, 0.0), (a,), vjp,
-                    lambda x: np.maximum(x, 0.0))
+    return _from_op("relu", np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -357,7 +340,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def vjp(g, needs):
         return (pad_axis(g, axis, start, total),)
 
-    return _from_op("slice", a.data[idx], (a,), vjp, lambda x: x[idx])
+    return _from_op("slice", a.data[idx], (a,), vjp)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
@@ -378,7 +361,7 @@ def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
     def vjp(g, needs):
         return (slice_axis(g, axis, before, before + length),)
 
-    return _from_op("pad", fwd(a.data), (a,), vjp, fwd)
+    return _from_op("pad", fwd(a.data), (a,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -392,7 +375,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                      if needs[i] else None for i in range(len(parts)))
 
     return _from_op("concat", np.concatenate([p.data for p in parts], axis=axis),
-                    tuple(parts), vjp, lambda *xs: np.concatenate(xs, axis=axis))
+                    tuple(parts), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +400,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
             gb = tsum(g, axes=lead) if lead else g
         return (g if needs[0] else None, gb)
 
-    return _from_op("bias_add", x.data + b.data, (x, b), vjp, lambda xx, bb: xx + bb)
+    return _from_op("bias_add", x.data + b.data, (x, b), vjp)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -432,11 +415,13 @@ def softmax_last(x: Tensor) -> Tensor:
         return e / np.sum(e, axis=-1, keepdims=True)
 
     def vjp(g, needs):
+        out = out_ref()
         gp = mul(g, out)
         return (sub(gp, mul(out, broadcast_to(tsum(gp, axes=(-1,), keepdims=True),
                                               out.shape))),)
 
-    out = _from_op("softmax", fwd(x.data), (x,), vjp, fwd)
+    out = _from_op("softmax", fwd(x.data), (x,), vjp)
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -466,7 +451,7 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         delta = scale(sub(softmax_last(logits), Tensor(onehot)), 1.0 / n)
         return (mul(broadcast_to(reshape(g, (1, 1)), (n, c)), delta),)
 
-    return _from_op("cross_entropy", fwd(logits.data), (logits,), vjp, fwd)
+    return _from_op("cross_entropy", fwd(logits.data), (logits,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -513,7 +498,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         return gx, ggamma, gbeta
 
     return _from_op("layernorm", fwd(x.data, gamma.data, beta.data),
-                    (x, gamma, beta), vjp, fwd)
+                    (x, gamma, beta), vjp)
 
 
 # Tanh-approximation constants; the derivative uses the same constant set.
@@ -536,7 +521,7 @@ def gelu(x: Tensor) -> Tensor:
                     mul(scale(x, 0.5), mul(one_minus_t2, du)))
         return (mul(g, deriv),)
 
-    return _from_op("gelu", fwd(x.data), (x,), vjp, fwd)
+    return _from_op("gelu", fwd(x.data), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +546,7 @@ class Tape:
     """Ordered record of the primitive ops behind an output tensor.
 
     Node creation ids are monotone, so ascending-id order is a topological
-    order: every op's inputs precede it. ``replay`` re-executes the recorded
-    forward closures and must reproduce the recorded arrays bit-exactly.
+    order: every op's inputs precede it.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -571,19 +555,6 @@ class Tape:
     @classmethod
     def from_output(cls, out: Tensor) -> "Tape":
         return cls(sorted(_ancestors(out), key=lambda t: t._id))
-
-    def ops(self) -> list[tuple[int, str, tuple[int, ...]]]:
-        return [(t._id, t._op, tuple(p._id for p in t._parents)) for t in self.nodes]
-
-    def replay(self) -> np.ndarray:
-        vals: dict[int, np.ndarray] = {}
-        for node in self.nodes:
-            if node._fwd is None:
-                vals[node._id] = node.data
-            else:
-                vals[node._id] = np.asarray(
-                    node._fwd(*(vals[p._id] for p in node._parents)), dtype=np.float64)
-        return vals[self.nodes[-1]._id]
 
 
 def backward(loss: Tensor, params: Mapping[str, Tensor],

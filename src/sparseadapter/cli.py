@@ -14,13 +14,14 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapters import AdapterSpec, insert_adapters, large_sparse_config, \
-    trainable_param_report
+from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters
+from .autodiff import NumericError
 from .data import SyntheticTaskSpec, TaskData, generate, load_dir
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
     load_checkpoint
@@ -70,47 +71,51 @@ class ExperimentConfig:
     output_dir: str = "runs"
     seed: int = 0
 
-    def validate(self) -> None:
-        self.encoder.validate()
-        self.adapter.validate()
-        self.prune.validate()
-        self.optimizer.validate()
-        self.data.validate()
-        if self.data.task is not None:
-            self.data.task.validate()
-
-
-_NESTED = {
-    (ExperimentConfig, "encoder"): EncoderConfig,
-    (ExperimentConfig, "adapter"): AdapterSpec,
-    (ExperimentConfig, "prune"): PruneConfig,
-    (ExperimentConfig, "optimizer"): OptimizerConfig,
-    (ExperimentConfig, "data"): DataConfig,
-    (DataConfig, "task"): SyntheticTaskSpec,
-}
-
 
 def _from_dict(cls, payload, where: str):
+    """Build and validate dataclass `cls` from a JSON object, checking each
+    value against its field's annotation. A nested dataclass left out is
+    built from {}, so its defaults are validated too."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: expected an object, got {type(payload).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - names
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        nested = _NESTED.get((cls, key))
-        if nested is not None and value is not None:
-            value = _from_dict(nested, value, f"{where}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: _from_json(hints[key], value, f"{where}.{key}")
+              for key, value in payload.items()}
+    for name in hints:
+        if name not in payload and dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _from_dict(hints[name], {}, f"{where}.{name}")
+    obj = cls(**kwargs)
+    if hasattr(obj, "validate"):
+        obj.validate()
+    return obj
+
+
+def _from_json(hint, value, where: str):
+    args = typing.get_args(hint)
+    if type(None) in args:              # `T | None`
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, where)
+    if hint is float:
+        # An int stays an int, so the config serializes back to the same
+        # bytes; the bound is False for NaN, +-Infinity and ints past float range.
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is hint        # exact: a JSON bool is not an int
+    if not ok:
+        raise ValueError(f"{where}: expected {hint.__name__}, got {value!r:.40}")
+    return value
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed JSON object."""
-    cfg = _from_dict(ExperimentConfig, payload, "config")
-    cfg.validate()
-    return cfg
+    return _from_dict(ExperimentConfig, payload, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -256,7 +261,7 @@ def _sweep_points(cfg: ExperimentConfig, axis: str, values: list[str]) -> list[d
             points.append({"method": v, "s": cfg.prune.s, "r": cfg.adapter.r})
     elif axis == "large-sparse":
         for v in values:
-            ls = large_sparse_config(cfg.adapter.r, int(v))
+            ls = LargeSparseConfig(cfg.adapter.r, int(v))
             points.append({"method": cfg.prune.method, "s": ls.s, "r": ls.r})
     else:
         raise ValueError(f"unknown sweep axis '{axis}'")
@@ -291,14 +296,11 @@ SWEEP_COLUMNS = ["method", "s", "r", "kept_fraction", "seeds",
 
 
 def _aggregate_rows(results: list[dict]) -> list[dict]:
-    rows = []
-    keys = []
+    groups: dict[tuple, list[dict]] = {}
     for res in results:
-        key = (res["method"], res["s"], res["r"])
-        if key not in keys:
-            keys.append(key)
-    for key in keys:
-        runs = [r for r in results if (r["method"], r["s"], r["r"]) == key]
+        groups.setdefault((res["method"], res["s"], res["r"]), []).append(res)
+    rows = []
+    for key, runs in groups.items():
         accs = np.array([r["final_accuracy"] for r in runs])
         stss = np.array([r["steps_to_threshold"] for r in runs], dtype=np.float64)
         ddof = 1 if len(runs) > 1 else 0
@@ -343,11 +345,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
             for job in jobs:
                 results.append(_run_sweep_job(job))
     except Exception as exc:
-        complete = [r for r in results
-                    if sum(1 for x in results
-                           if (x["method"], x["s"], x["r"]) ==
-                           (r["method"], r["s"], r["r"])) == seeds]
-        _write_sweep_csv(csv_path, _aggregate_rows(complete),
+        complete = [row for row in _aggregate_rows(results) if row["seeds"] == seeds]
+        _write_sweep_csv(csv_path, complete,
                          aborted=f"{type(exc).__name__}: {exc}")
         raise
     _write_sweep_csv(csv_path, _aggregate_rows(results))
@@ -415,7 +414,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, args.checkpoint)
         return 0
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

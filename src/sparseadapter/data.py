@@ -24,6 +24,9 @@ TASKS = ("token_majority", "keyed_lookup", "parity_window")
 MARKERS_PER_CLASS = 8
 MARKER_RATE = 0.45   # chance a position carries a class marker
 PARITY_RATE = 0.25
+# Duplicate rows are redrawn; a spec with too few distinct rows fails after
+# this many draws per requested row instead of looping forever.
+MAX_DRAWS_PER_ROW = 100
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def generate(spec: SyntheticTaskSpec) -> TaskData:
     labels = np.zeros(total, dtype=np.int64)
     seen: set[bytes] = set()
     i = 0
-    while i < total:
+    for _ in range(MAX_DRAWS_PER_ROW * total):
         row, label = _sample_row(spec, rng)
         key = row.tobytes()
         if key in seen:
@@ -112,6 +115,12 @@ def generate(spec: SyntheticTaskSpec) -> TaskData:
         rows[i] = row
         labels[i] = label
         i += 1
+        if i == total:
+            break
+    else:
+        raise ValueError(f"{spec}: found {i} distinct rows in "
+                         f"{MAX_DRAWS_PER_ROW * total} draws, needs n_train + n_eval "
+                         f"= {total}; raise vocab or seq_len, or lower the split sizes")
     if spec.noise_rate > 0:
         flip = rng.random(total) < spec.noise_rate
         labels[flip] = rng.integers(spec.n_classes, size=int(np.sum(flip)))

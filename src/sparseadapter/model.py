@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,35 +275,65 @@ def save_checkpoint(model: Model, path: str) -> None:
             f.write(pg.tensor.data.astype("<f8").tobytes())
 
 
+class _Reader:
+    """Bounded little-endian reader over the bytes of one SACP or SADM file.
+
+    Every read names what it is for, and a read past the end raises
+    ValueError instead of reaching struct or numpy with a bad offset.
+    """
+
+    def __init__(self, blob: bytes, kind: str):
+        self.view = memoryview(blob)
+        self.kind = kind
+        self.off = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        end = self.off + n
+        if end > len(self.view):
+            raise ValueError(f"truncated {self.kind} file: need {end} bytes for {what}, "
+                             f"file has {len(self.view)}")
+        chunk = self.view[self.off:end]
+        self.off = end
+        return chunk
+
+    def fields(self, fmt: str, what: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, len_fmt: str, what: str) -> str:
+        """A UTF-8 string after a length field of format `len_fmt`."""
+        (n,) = self.fields(len_fmt, f"{what} length")
+        return str(self.take(n, what), "utf-8")
+
+    def header(self, magic: bytes, version: int) -> None:
+        got, ver = self.fields("4sB", "header")
+        if got != magic:
+            raise ValueError(f"bad {self.kind} magic {got!r}")
+        if ver != version:
+            raise ValueError(f"unsupported {self.kind} version {ver}")
+
+    def done(self) -> None:
+        if self.off != len(self.view):
+            raise ValueError(f"trailing bytes in {self.kind} file: parsed {self.off}, "
+                             f"file has {len(self.view)}")
+
+
 def read_checkpoint(path: str) -> dict[str, tuple[np.ndarray, bool]]:
     """Parse a checkpoint into {name: (array, trainable)}."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
-    if blob[4] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob[4]}")
-    off = 5
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        r = _Reader(f.read(), "checkpoint")
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    (count,) = r.fields("I", "group count")
     out: dict[str, tuple[np.ndarray, bool]] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        ndim = blob[off]
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off) if ndim else ()
-        off += 4 * ndim
-        trainable = bool(blob[off])
-        off += 1
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += 8 * n
-        out[name] = (arr, trainable)
-    if off != len(blob):
-        raise ValueError(f"trailing bytes in checkpoint: expected {off}, file has {len(blob)}")
+        name = r.text("H", "group name")
+        (ndim,) = r.fields("B", f"rank of group '{name}'")
+        shape = r.fields(f"{ndim}I", f"shape of group '{name}'")
+        (trainable,) = r.fields("B", f"trainable flag of group '{name}'")
+        raw = r.take(8 * math.prod(shape), f"weights of group '{name}'")
+        out[name] = (np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
+                     bool(trainable))
+    r.done()
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import Model
+from .model import Model, _Reader
 
 MASK_MAGIC = b"SADM"
 MASK_VERSION = 1
@@ -313,61 +313,27 @@ def save_mask(mask: PruneMask, path: str) -> None:
 def load_mask(path: str, shapes: dict[str, tuple[int, ...]] | None = None) -> PruneMask:
     """Read a mask file; group arrays come back flat unless `shapes` is given."""
     with open(path, "rb") as f:
-        blob = f.read()
-
-    def need(n: int, off: int, what: str) -> None:
-        if off + n > len(blob):
-            raise ValueError(f"truncated mask file: need {off + n} bytes for {what}, "
-                             f"file has {len(blob)}")
-
-    need(5, 0, "header")
-    if blob[:4] != MASK_MAGIC:
-        raise ValueError(f"bad mask magic {blob[:4]!r}")
-    if blob[4] != MASK_VERSION:
-        raise ValueError(f"unsupported mask version {blob[4]}")
-    off = 5
-    need(1, off, "method tag length")
-    tlen = blob[off]
-    off += 1
-    need(tlen, off, "method tag")
-    method = blob[off:off + tlen].decode("utf-8")
-    off += tlen
-    need(8 + 8 + 4, off, "mask header fields")
-    (s,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    (seed,) = struct.unpack_from("<q", blob, off)
-    off += 8
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-
+        r = _Reader(f.read(), "mask")
+    r.header(MASK_MAGIC, MASK_VERSION)
+    method = r.text("B", "method tag")
+    s, seed, count = r.fields("dqI", "mask header fields")
     masks: dict[str, np.ndarray] = {}
     for _ in range(count):
-        need(2, off, "group name length")
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        need(nlen, off, "group name")
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        need(8, off, "group element count")
-        (size,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        nbytes = (size + 7) // 8
-        need(nbytes, off, f"bitmap of group '{name}'")
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, count=nbytes,
-                                           offset=off),
-                             count=size, bitorder="little").astype(bool)
-        off += nbytes
+        name = r.text("H", "group name")
+        (size,) = r.fields("Q", f"element count of group '{name}'")
+        packed = r.take((size + 7) // 8, f"bitmap of group '{name}'")
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size,
+                             bitorder="little").astype(bool)
         if shapes is not None:
             if name not in shapes:
                 raise ValueError(f"mask group '{name}' unknown to the model")
-            expected = int(np.prod(shapes[name]))
+            expected = math.prod(shapes[name])
             if size != expected:
                 raise ValueError(f"mask/model mismatch at group '{name}': "
                                  f"{size} bits vs {expected} weights")
             bits = bits.reshape(shapes[name])
         masks[name] = bits
-    if off != len(blob):
-        raise ValueError(f"trailing bytes in mask file: parsed {off}, file has {len(blob)}")
+    r.done()
     return PruneMask(method, float(s), None if seed == -1 else int(seed), None, masks)
 
 
@@ -376,13 +342,7 @@ def load_mask_for_model(model: Model, path: str) -> PruneMask:
     prunable = model.prunable_groups()
     mask = load_mask(path, {n: g.tensor.shape for n, g in prunable.items()})
     missing = set(prunable) - set(mask.masks)
-    extra = set(mask.masks) - set(prunable)
-    if missing or extra:
-        offender = sorted(missing | extra)[0]
-        raise ValueError(f"mask/model mismatch at group '{offender}' "
-                         f"(missing={sorted(missing)}, extra={sorted(extra)})")
-    for name, m in mask.masks.items():
-        if m.size != prunable[name].tensor.size:
-            raise ValueError(f"mask/model mismatch at group '{name}': "
-                             f"{m.size} bits vs {prunable[name].tensor.size} weights")
+    if missing:
+        raise ValueError(f"mask/model mismatch at group '{sorted(missing)[0]}' "
+                         f"(missing={sorted(missing)})")
     return mask

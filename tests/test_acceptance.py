@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import sparseadapter.autodiff as ad
-from sparseadapter.adapters import AdapterSpec, insert_adapters, \
-    large_sparse_config, trainable_param_report
+from sparseadapter.adapters import AdapterSpec, LargeSparseConfig, \
+    insert_adapters, trainable_param_report
 from sparseadapter.data import SyntheticTaskSpec, generate
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
@@ -170,7 +170,7 @@ def test_criterion_4_budget_identity():
     ok = True
     gaps = []
     for k in (2, 3, 4):
-        ls = large_sparse_config(64, k)
+        ls = LargeSparseConfig(64, k)
         big = adapter_model(enc, ls.r, seed=0)
         mask = prune_by_percentile(score_random(big, 0), ls.s)
         gap = abs(mask.kept() - base_kept)

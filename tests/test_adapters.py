@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import sparseadapter.autodiff as ad
-from sparseadapter.adapters import (AdapterSpec, BottleneckAdapter, LoraProjection,
-                                    adapter_forward, insert_adapters,
-                                    large_sparse_config, trainable_param_report)
+from sparseadapter.adapters import (AdapterSpec, BottleneckAdapter,
+                                    LargeSparseConfig, LoraProjection,
+                                    insert_adapters, trainable_param_report)
 from sparseadapter.autodiff import GELU_C0, GELU_C1, Tensor
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
 from sparseadapter.pruning import round_half_up, score_random, prune_by_percentile
@@ -109,7 +109,7 @@ def test_zero_up_projection_is_identity():
     a.up_w.data[...] = 0.0
     a.up_b.data[...] = 0.0
     x = Tensor(rng.normal(0, 1, (5, 8)))
-    out = adapter_forward(x, a)
+    out = a(x)
     assert np.array_equal(out.data, x.data)
 
 
@@ -118,7 +118,7 @@ def test_zero_input_zero_biases_gives_zero():
     a = _rand_bottleneck(rng, 8, 3)
     a.down_b.data[...] = 0.0
     a.up_b.data[...] = 0.0
-    out = adapter_forward(Tensor(np.zeros((4, 8))), a)
+    out = a(Tensor(np.zeros((4, 8))))
     assert np.all(out.data == 0.0)
 
 
@@ -132,7 +132,7 @@ def test_bottleneck_matches_straight_line_reference():
     h = 0.5 * h * (1.0 + np.tanh(GELU_C0 * (h + GELU_C1 * h ** 3)))
     expected = x + h @ a.up_w.data + a.up_b.data
 
-    out = adapter_forward(Tensor(x), a)
+    out = a(Tensor(x))
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
@@ -225,20 +225,20 @@ def test_zero_sparsity_mask_report_matches_dense():
 
 @pytest.mark.parametrize("k,r,s", [(2, 128, 0.5), (4, 256, 0.75), (1, 64, 0.0)])
 def test_large_sparse_config_values(k, r, s):
-    ls = large_sparse_config(64, k)
+    ls = LargeSparseConfig(64, k)
     assert ls.r == r
     assert ls.s == pytest.approx(s)
 
 
 def test_large_sparse_config_k3():
-    ls = large_sparse_config(64, 3)
+    ls = LargeSparseConfig(64, 3)
     assert ls.r == 192
     assert ls.s == pytest.approx(2.0 / 3.0)
 
 
 def test_large_sparse_rejects_bad_k():
     with pytest.raises(ValueError):
-        large_sparse_config(64, 0)
+        LargeSparseConfig(64, 0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -248,7 +248,7 @@ def test_budget_identity(k):
     base = make_model("houlsby", r=r_base, d_model=64, n_layers=2)
     base_mask = prune_by_percentile(score_random(base, 0), 0.0)
 
-    ls = large_sparse_config(r_base, k)
+    ls = LargeSparseConfig(r_base, k)
     big = make_model("houlsby", r=ls.r, d_model=64, n_layers=2)
     big_mask = prune_by_percentile(score_random(big, 0), ls.s)
 
@@ -263,5 +263,5 @@ def test_large_sparse_total_scales_with_k():
     n_base = sum(g.tensor.size for g in base.prunable_groups().values())
     n_big = sum(g.tensor.size for g in big.prunable_groups().values())
     assert n_big == 4 * n_base
-    kept = round_half_up((1.0 - large_sparse_config(r_base, 4).s) * n_big)
+    kept = round_half_up((1.0 - LargeSparseConfig(r_base, 4).s) * n_big)
     assert kept == n_base

@@ -78,6 +78,22 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.optimizer.warmup_fraction == 0.10
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("adapter", "r", "4"), ("adapter", "r", 4.5), ("adapter", "r", True),
+    ("optimizer", "epochs", None), (None, "seed", "0"), ("prune", "s", "0.4"),
+    ("prune", "score_batches", 2.5), ("adapter", "gaussian_std", float("inf")),
+])
+def test_mistyped_value_is_an_error_line(tmp_path, capsys, section, key, value):
+    payload = small_config(tmp_path)
+    (payload[section] if section else payload)[key] = value
+    config = str(tmp_path / "config.json")
+    with open(config, "w") as f:
+        json.dump(payload, f)
+    assert main(["prune", "--config", config]) == 1
+    where = ".".join(p for p in ("config", section, key) if p)
+    assert capsys.readouterr().err.startswith(f"error: {where}: expected ")
+
+
 def test_override_seeds(tmp_path):
     cfg = parse_config(small_config(tmp_path))
     cfg2 = override_seeds(cfg, 42)
@@ -147,6 +163,30 @@ def test_corrupt_mask_clean_error_no_artifacts(tmp_path, capsys):
     assert main(["train", "--config", config, "--out", out, "--mask", bad]) == 1
     assert "error" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def test_truncated_files_are_error_lines(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["prune", "--config", config, "--out", out]) == 0
+    assert main(["train", "--config", config, "--out", out]) == 0
+    capsys.readouterr()
+    checkpoint = open(os.path.join(out, "checkpoint.sacp"), "rb").read()
+    bad = str(tmp_path / "bad")
+    cuts = [checkpoint[:4], checkpoint[:5] + b"\x05"] + \
+        [checkpoint[:n] for n in (0, 9, 11, 12, 40, len(checkpoint) // 2,
+                                  len(checkpoint) - 1)]
+    for blob in cuts:
+        with open(bad, "wb") as f:
+            f.write(blob)
+        assert main(["eval", "--config", config, "--checkpoint", bad]) == 1
+        assert "truncated checkpoint file" in capsys.readouterr().err
+    mask = open(os.path.join(out, "mask.sadm"), "rb").read()
+    for n in range(len(mask)):
+        with open(bad, "wb") as f:
+            f.write(mask[:n])
+        assert main(["inspect-mask", "--mask", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: truncated mask file")
 
 
 def test_mask_model_mismatch_names_group(tmp_path, capsys):
@@ -248,6 +288,37 @@ def test_divergence_exit_code(tmp_path, capsys):
                              "seed": 0})
     assert main(["train", "--config", config, "--out", str(tmp_path / "d")]) == 3
     assert "diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adapter", [
+    {"variant": "houlsby", "r": 4, "gaussian_std": 1e200},
+    {"variant": "lora", "r": 4, "lora_alpha": 1e308},
+])
+def test_non_finite_scoring_exit_code(tmp_path, capsys, adapter):
+    config = write_config(tmp_path, adapter=adapter,
+                          prune={"method": "snip", "s": 0.4, "seed": 0})
+    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite values")
+
+
+def test_sweep_job_non_finite_exit_code(tmp_path, capsys):
+    config = write_config(tmp_path,
+                          adapter={"variant": "houlsby", "r": 4, "gaussian_std": 1e200},
+                          prune={"method": "snip", "s": 0.4, "seed": 0})
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out,
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "1",
+                 "--workers", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite values")
+    assert "# aborted: NumericError" in open(os.path.join(out, "sweep.csv")).read()
+
+
+def test_infeasible_task_spec_is_an_error_line(tmp_path, capsys):
+    config = write_config(tmp_path, data={"task": {
+        "task": "token_majority", "vocab": 20, "n_classes": 2, "seq_len": 2,
+        "n_train": 500, "n_eval": 100}})
+    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith("error: SyntheticTaskSpec(")
 
 
 def test_sweep_large_sparse_axis(tmp_path):

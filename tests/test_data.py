@@ -1,5 +1,7 @@
 """Synthetic task generator and JSONL format tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,30 @@ def test_validation():
         generate(spec(vocab=10))
     with pytest.raises(ValueError):
         generate(spec(n_classes=1))
+
+
+def test_too_few_distinct_rows_fails_instead_of_hanging():
+    # token_majority over 20 tokens with seq_len 2 has only 196 distinct rows
+    hang = spec(vocab=20, n_classes=2, seq_len=2, n_train=500, n_eval=100, seed=0)
+    with pytest.raises(ValueError, match="196 distinct rows"):
+        generate(hang)
+
+
+@pytest.mark.parametrize("kw,digest", [
+    (dict(task="token_majority", noise_rate=0.1), "53a948c2cfce09e9"),
+    (dict(task="keyed_lookup", noise_rate=0.1), "776f678255a4a5a8"),
+    (dict(task="parity_window", noise_rate=0.1), "29180950ae60a2f8"),
+    # 190 of the 196 rows above: many duplicate draws, still within the bound
+    (dict(vocab=20, n_classes=2, seq_len=2, n_train=150, n_eval=40, seed=0),
+     "c7333c3b41a3465c"),
+])
+def test_generated_rows_are_pinned(kw, digest):
+    data = generate(spec(**kw))
+    h = hashlib.sha256()
+    for arr in (data.train.tokens, data.train.labels, data.eval.tokens,
+                data.eval.labels):
+        h.update(arr.tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_jsonl_roundtrip(tmp_path):

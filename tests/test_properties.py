@@ -1,0 +1,195 @@
+"""Property tests for the outside inputs: SACP checkpoints, SADM masks and
+JSON configs. Whatever the bytes or values, a reader either returns a valid
+object or raises ValueError; nothing else escapes."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sparseadapter.adapters import AdapterSpec, insert_adapters
+from sparseadapter.cli import parse_config, serialize_config
+from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
+    read_checkpoint, save_checkpoint
+from sparseadapter.pruning import PruneMask, load_mask, save_mask
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("props")
+
+
+def read_blob(reader, blob: bytes, scratch):
+    path = scratch / "blob.bin"
+    path.write_bytes(blob)
+    return reader(str(path))
+
+
+def check_checkpoint(blob: bytes, scratch) -> None:
+    try:
+        out = read_blob(read_checkpoint, blob, scratch)
+    except ValueError:
+        return
+    for name, (arr, trainable) in out.items():
+        assert isinstance(name, str)
+        assert arr.dtype == np.float64 and arr.flags.writeable
+        assert isinstance(trainable, bool)
+
+
+def check_mask(blob: bytes, scratch) -> None:
+    try:
+        mask = read_blob(load_mask, blob, scratch)
+    except ValueError:
+        return
+    assert isinstance(mask, PruneMask)
+    assert isinstance(mask.method, str) and isinstance(mask.s, float)
+    for arr in mask.masks.values():
+        assert arr.dtype == bool and arr.ndim == 1
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(scratch) -> bytes:
+    cfg = EncoderConfig(vocab_size=4, d_model=2, n_heads=1, d_ff=2, n_layers=1,
+                        max_seq_len=2, n_classes=2)
+    model = build_encoder(cfg, 0)
+    insert_adapters(model, AdapterSpec(variant="houlsby", r=1), 1)
+    freeze_backbone(model)
+    path = scratch / "real.sacp"
+    save_checkpoint(model, str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mask_bytes(scratch) -> bytes:
+    rng = np.random.default_rng(0)
+    mask = PruneMask("snip", 0.4, 3, None,
+                     {"a.weight": rng.random(11) < 0.5, "b.weight": rng.random(3) < 0.5})
+    path = scratch / "real.sadm"
+    save_mask(mask, str(path))
+    return path.read_bytes()
+
+
+def test_every_checkpoint_truncation_is_reported(checkpoint_bytes, scratch):
+    for cut in range(len(checkpoint_bytes)):
+        with pytest.raises(ValueError, match="truncated checkpoint file"):
+            read_blob(read_checkpoint, checkpoint_bytes[:cut], scratch)
+
+
+def test_every_mask_truncation_is_reported(mask_bytes, scratch):
+    for cut in range(len(mask_bytes)):
+        with pytest.raises(ValueError, match="truncated mask file"):
+            read_blob(load_mask, mask_bytes[:cut], scratch)
+
+
+def flips(blob: bytes):
+    for bit in range(8 * len(blob)):
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(out)
+
+
+def test_every_checkpoint_bit_flip(checkpoint_bytes, scratch):
+    for blob in flips(checkpoint_bytes):
+        check_checkpoint(blob, scratch)
+
+
+def test_every_mask_bit_flip(mask_bytes, scratch):
+    for blob in flips(mask_bytes):
+        check_mask(blob, scratch)
+
+
+def with_header(magic: bytes):
+    return st.one_of(st.binary(max_size=64),
+                     st.binary(max_size=64).map(lambda b: magic + b"\x01" + b))
+
+
+@settings(deadline=None)
+@given(blob=with_header(b"SACP"))
+@example(blob=b"SACP")
+@example(blob=b"SACP\x01\x05")
+def test_any_bytes_as_checkpoint(blob, scratch):
+    check_checkpoint(blob, scratch)
+
+
+@settings(deadline=None)
+@given(blob=with_header(b"SADM"))
+def test_any_bytes_as_mask(blob, scratch):
+    check_mask(blob, scratch)
+
+
+# ---------------------------------------------------------------------------
+# config values
+# ---------------------------------------------------------------------------
+
+TASK = {"task": "token_majority", "vocab": 60, "seq_len": 8, "n_classes": 4,
+        "n_train": 48, "n_eval": 24, "noise_rate": 0.0, "seed": 0}
+
+
+def base_payload(data: dict) -> dict:
+    return {
+        "encoder": {"vocab_size": 60, "d_model": 16, "n_heads": 4, "d_ff": 32,
+                    "n_layers": 2, "max_seq_len": 16, "n_classes": 4},
+        "adapter": {"variant": "houlsby", "r": 4, "lora_alpha": 16.0,
+                    "prefix_len": 4, "gaussian_std": 0.01, "lora_zero_b": False},
+        "prune": {"method": "snip", "s": 0.4, "seed": 0, "snip_abs": False,
+                  "score_batches": 1},
+        "optimizer": {"beta1": 0.9, "beta2": 0.98, "weight_decay": 0.1,
+                      "peak_lr": 1e-3, "warmup_fraction": 0.1, "epochs": 1,
+                      "batch_size": 16, "seed": 0},
+        "data": data,
+        "output_dir": "out",
+        "seed": 0,
+    }
+
+
+BASES = [base_payload({"task": dict(TASK)}), base_payload({"path": "dataset"})]
+
+
+def leaf_paths(obj, prefix=()):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+LEAVES = [(i, path) for i, base in enumerate(BASES) for path in leaf_paths(base)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def test_base_payloads_are_valid():
+    for base in BASES:
+        parse_config(json.loads(json.dumps(base)))
+
+
+@settings(deadline=None)
+@given(leaf=st.sampled_from(LEAVES), value=JSON_VALUES)
+@example(leaf=(0, ("adapter", "r")), value="4")
+@example(leaf=(0, ("adapter", "r")), value=4.5)
+@example(leaf=(0, ("adapter", "r")), value=True)
+@example(leaf=(0, ("optimizer", "epochs")), value=None)
+@example(leaf=(0, ("seed",)), value="0")
+@example(leaf=(0, ("prune", "s")), value="0.4")
+@example(leaf=(0, ("prune", "score_batches")), value=2.5)
+@example(leaf=(0, ("adapter", "gaussian_std")), value=float("inf"))
+@example(leaf=(0, ("optimizer", "peak_lr")), value=10 ** 400)
+def test_config_leaf_replaced_by_any_json_value(leaf, value):
+    """Only parse_config runs: a random size must never build a model."""
+    index, path = leaf
+    payload = json.loads(json.dumps(BASES[index]))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cfg = parse_config(payload)
+    except ValueError:
+        return
+    assert parse_config(json.loads(serialize_config(cfg))) == cfg
