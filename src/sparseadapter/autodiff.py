@@ -59,7 +59,7 @@ class Tensor:
     leaves (parameters, constants) carry neither.
     """
 
-    # A vjp that needs its op's own output (exp, tanh, softmax) holds it by weak
+    # A vjp that needs its op's own output (tanh, softmax) holds it by weak
     # reference: a closure over the output would make every graph a reference
     # cycle, which outlives its step until the cyclic collector happens to run.
     __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp",
@@ -257,27 +257,6 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         return (reshape(r, orig),)
 
     return _from_op("broadcast", np.broadcast_to(a.data, shape), (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def vjp(g, needs):
-        return (mul(g, out_ref()),)
-
-    out = _from_op("exp", out_data, (a,), vjp)
-    out_ref = weakref.ref(out)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        return (mul(g, powc(a, -1.0)),)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out_data = np.log(a.data)
-    return _from_op("log", out_data, (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -528,20 +507,6 @@ def gelu(x: Tensor) -> Tensor:
 # Tape, backward, hvp
 # ---------------------------------------------------------------------------
 
-def _ancestors(root: Tensor) -> list[Tensor]:
-    """All graph nodes reachable from `root` through parents (root included)."""
-    seen = {root._id}
-    out = [root]
-    stack = [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if p._id not in seen:
-                seen.add(p._id)
-                out.append(p)
-                stack.append(p)
-    return out
-
-
 class Tape:
     """Ordered record of the primitive ops behind an output tensor.
 
@@ -554,7 +519,18 @@ class Tape:
 
     @classmethod
     def from_output(cls, out: Tensor) -> "Tape":
-        return cls(sorted(_ancestors(out), key=lambda t: t._id))
+        """Every node reachable from `out` through parents, `out` included."""
+        seen = {out._id}
+        nodes = [out]
+        stack = [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if p._id not in seen:
+                    seen.add(p._id)
+                    nodes.append(p)
+                    stack.append(p)
+        nodes.sort(key=lambda t: t._id)
+        return cls(nodes)
 
 
 def backward(loss: Tensor, params: Mapping[str, Tensor],
@@ -575,7 +551,7 @@ def backward(loss: Tensor, params: Mapping[str, Tensor],
     result: dict[str, Tensor] = {}
 
     def run():
-        for node in sorted(_ancestors(loss), key=lambda t: t._id, reverse=True):
+        for node in reversed(Tape.from_output(loss).nodes):
             g = grads.pop(node._id, None)
             if g is None:
                 continue

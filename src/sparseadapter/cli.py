@@ -25,8 +25,8 @@ from .autodiff import NumericError
 from .data import SyntheticTaskSpec, TaskData, generate, load_dir
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
     load_checkpoint
-from .pruning import compute_mask, load_mask, load_mask_for_model, save_mask
-from .training import OptimizerConfig, TrainingDiverged, evaluate, train
+from .pruning import apply_mask, compute_mask, load_mask, save_mask
+from .training import OptimizerConfig, evaluate, train
 
 OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
@@ -127,19 +127,21 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
+def _map_seeds(cfg: ExperimentConfig, fn) -> ExperimentConfig:
+    """Apply `fn` to the model init, prune, and shuffle seeds."""
+    return replace(cfg, seed=fn(cfg.seed),
+                   prune=replace(cfg.prune, seed=fn(cfg.prune.seed)),
+                   optimizer=replace(cfg.optimizer, seed=fn(cfg.optimizer.seed)))
+
+
 def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Point the model init, prune, and shuffle seeds at one value."""
-    return replace(cfg, seed=seed,
-                   prune=replace(cfg.prune, seed=seed),
-                   optimizer=replace(cfg.optimizer, seed=seed))
+    return _map_seeds(cfg, lambda _: seed)
 
 
 def shift_seeds(cfg: ExperimentConfig, run_index: int) -> ExperimentConfig:
     """Independent seeds for the run_index-th repeat of a sweep point."""
-    off = run_index * SEED_STRIDE
-    return replace(cfg, seed=cfg.seed + off,
-                   prune=replace(cfg.prune, seed=cfg.prune.seed + off),
-                   optimizer=replace(cfg.optimizer, seed=cfg.optimizer.seed + off))
+    return _map_seeds(cfg, lambda s: s + run_index * SEED_STRIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +210,13 @@ def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> str:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> dict:
     model = build_model(cfg)
-    mask = load_mask_for_model(model, mask_path) if mask_path else None
+    if mask_path:
+        apply_mask(model, load_mask(mask_path))
     dataset = load_data(cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         f.write(serialize_config(cfg))
-    metrics = train(model, dataset, cfg.optimizer, mask=mask,
+    metrics = train(model, dataset, cfg.optimizer,
                     checkpoint_path=os.path.join(out_dir, "checkpoint.sacp"))
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.to_csv())
@@ -248,33 +251,28 @@ def cmd_inspect_mask(path: str) -> None:
 
 # -- sweep ------------------------------------------------------------------
 
-def _sweep_points(cfg: ExperimentConfig, axis: str, values: list[str]) -> list[dict]:
-    points = []
+def _sweep_points(cfg: ExperimentConfig, axis: str,
+                  values: list[str]) -> list[ExperimentConfig]:
+    """One config per point of the sweep axis."""
+    def point(method: str, s: float, r: int) -> ExperimentConfig:
+        return replace(cfg, adapter=replace(cfg.adapter, r=r),
+                       prune=replace(cfg.prune, method=method, s=s))
+
     if axis == "sparsity":
-        for v in values:
-            points.append({"method": cfg.prune.method, "s": float(v),
-                           "r": cfg.adapter.r})
-    elif axis == "method":
+        return [point(cfg.prune.method, float(v), cfg.adapter.r) for v in values]
+    if axis == "method":
         for v in values:
             if v not in PRUNE_METHODS:
                 raise ValueError(f"unknown method '{v}' in sweep values")
-            points.append({"method": v, "s": cfg.prune.s, "r": cfg.adapter.r})
-    elif axis == "large-sparse":
-        for v in values:
-            ls = LargeSparseConfig(cfg.adapter.r, int(v))
-            points.append({"method": cfg.prune.method, "s": ls.s, "r": ls.r})
-    else:
-        raise ValueError(f"unknown sweep axis '{axis}'")
-    return points
+        return [point(v, cfg.prune.s, cfg.adapter.r) for v in values]
+    if axis == "large-sparse":
+        grid = [LargeSparseConfig(cfg.adapter.r, int(v)) for v in values]
+        return [point(cfg.prune.method, ls.s, ls.r) for ls in grid]
+    raise ValueError(f"unknown sweep axis '{axis}'")
 
 
-def _run_sweep_job(job: dict) -> dict:
+def _run_sweep_job(cfg: ExperimentConfig) -> dict:
     """One (point, seed) training run; executed in a worker process."""
-    cfg = parse_config(job["config"])
-    cfg = replace(cfg,
-                  adapter=replace(cfg.adapter, r=job["r"]),
-                  prune=replace(cfg.prune, method=job["method"], s=job["s"]))
-    cfg = shift_seeds(cfg, job["run_index"])
     model = build_model(cfg)
     dataset = load_data(cfg)
     mask = make_mask(cfg, model, dataset)
@@ -282,8 +280,7 @@ def _run_sweep_job(job: dict) -> dict:
     final = metrics.final_eval_accuracy
     sts = metrics.steps_to_accuracy(0.9 * final) if final is not None else None
     return {
-        "method": job["method"], "s": job["s"], "r": job["r"],
-        "run_index": job["run_index"],
+        "method": cfg.prune.method, "s": cfg.prune.s, "r": cfg.adapter.r,
         "kept_fraction": metrics.kept_fraction,
         "final_accuracy": final,
         "steps_to_threshold": sts if sts is not None else metrics.total_steps,
@@ -329,9 +326,7 @@ def _write_sweep_csv(path: str, rows: list[dict], aborted: str | None = None) ->
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
               seeds: int = 3, workers: int = 1) -> str:
     points = _sweep_points(cfg, axis, values)
-    payload = dataclasses.asdict(cfg)
-    jobs = [{"config": payload, "run_index": k, **point}
-            for point in points for k in range(seeds)]
+    jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
 
@@ -414,10 +409,10 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, args.checkpoint)
         return 0
-    except (TrainingDiverged, NumericError) as exc:
+    except NumericError as exc:         # training.TrainingDiverged included
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

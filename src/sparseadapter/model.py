@@ -52,14 +52,10 @@ class ParamGroup:
     tensor: Tensor
     trainable: bool
     prunable: bool
-    n_in: int
-    n_out: int
 
     def __post_init__(self):
         if self.prunable and not self.trainable:
             raise ValueError(f"group '{self.name}': prunable implies trainable")
-        if self.tensor.ndim == 2 and self.n_in * self.n_out != self.tensor.size:
-            raise ValueError(f"group '{self.name}': n_in*n_out != element count")
 
 
 class Model:
@@ -77,18 +73,12 @@ class Model:
     # -- registry ----------------------------------------------------------
 
     def add_group(self, name: str, data: np.ndarray, *, trainable: bool = True,
-                  prunable: bool = False, n_in: int | None = None,
-                  n_out: int | None = None, adapter: bool = False,
+                  prunable: bool = False, adapter: bool = False,
                   head: bool = False) -> ParamGroup:
         if name in self.groups:
             raise ValueError(f"duplicate parameter group '{name}'")
-        if n_in is None or n_out is None:
-            if data.ndim == 2:
-                n_in, n_out = data.shape
-            else:
-                n_in, n_out = 1, data.size
         pg = ParamGroup(name, Tensor(data, requires_grad=trainable),
-                        trainable, prunable, n_in, n_out)
+                        trainable, prunable)
         self.groups[name] = pg
         if adapter:
             self.adapter_group_names.add(name)

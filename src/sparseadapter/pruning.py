@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,8 +210,7 @@ def score_er(model: Model, s_global: float, seed: int) -> PruneMask:
     """Random per-layer topology at the ER sparsity allocation."""
     weights = _prunable(model)
     names = sorted(weights)
-    dims = [(model.groups[n].n_in, model.groups[n].n_out) for n in names]
-    spars = er_sparsities(dims, s_global)
+    spars = er_sparsities([weights[n].shape for n in names], s_global)
 
     rng = np.random.default_rng(seed)
     masks: dict[str, np.ndarray] = {}
@@ -254,16 +253,22 @@ def prune_by_percentile(scores: ScoreMap, s: float, seed: int | None = None) -> 
 
 
 def apply_mask(model: Model, mask: PruneMask) -> None:
-    """Zero masked weights and register the mask so training keeps them zero."""
+    """Check a mask against the prunable groups, shape flat group arrays (as
+    `load_mask` returns them) to their weights, zero the masked weights and
+    register the mask so training keeps them zero."""
     prunable = model.prunable_groups()
-    if set(mask.masks) != set(prunable):
-        raise ValueError(f"mask groups {sorted(mask.masks)} != prunable groups "
-                         f"{sorted(prunable)}")
+    odd = sorted(set(prunable) ^ set(mask.masks))
+    if odd:
+        side = "missing from the mask" if odd[0] in prunable else "unknown to the model"
+        raise ValueError(f"mask/model mismatch at group '{odd[0]}': {side}")
+    shapes = {n: g.tensor.shape for n, g in prunable.items()}
     for name, m in mask.masks.items():
-        w = prunable[name].tensor.data
-        if m.shape != w.shape:
-            raise ValueError(f"group '{name}': mask shape {m.shape} != weight "
-                             f"shape {w.shape}")
+        if m.shape not in (shapes[name], (math.prod(shapes[name]),)):
+            raise ValueError(f"mask/model mismatch at group '{name}': mask shape "
+                             f"{m.shape}, weight shape {shapes[name]}")
+    if any(m.shape != shapes[n] for n, m in mask.masks.items()):
+        mask = replace(mask, masks={n: m.reshape(shapes[n])
+                                    for n, m in mask.masks.items()})
     for name, m in mask.masks.items():
         prunable[name].tensor.data[~m] = 0.0
     model.mask = mask
@@ -273,16 +278,19 @@ def compute_mask(model: Model, method: str, s: float, seed: int,
                  batches: Sequence = (), loss_fn: Callable = _default_loss,
                  snip_abs: bool = False) -> PruneMask:
     """Method dispatch used by the CLI and sweeps."""
-    if method == "random":
-        return prune_by_percentile(score_random(model, seed), s, seed)
-    if method == "magnitude":
-        return prune_by_percentile(score_magnitude(model), s, seed)
-    if method == "snip":
-        return prune_by_percentile(score_snip(model, batches, loss_fn, snip_abs), s, seed)
-    if method == "grasp":
-        return prune_by_percentile(score_grasp(model, batches, loss_fn), s, seed)
-    if method == "er":
-        return score_er(model, s, seed)
+    # overflow warnings are redundant here: ScoreMap rejects non-finite scores
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "random":
+            return prune_by_percentile(score_random(model, seed), s, seed)
+        if method == "magnitude":
+            return prune_by_percentile(score_magnitude(model), s, seed)
+        if method == "snip":
+            return prune_by_percentile(score_snip(model, batches, loss_fn, snip_abs),
+                                       s, seed)
+        if method == "grasp":
+            return prune_by_percentile(score_grasp(model, batches, loss_fn), s, seed)
+        if method == "er":
+            return score_er(model, s, seed)
     raise ValueError(f"unknown pruning method '{method}'")
 
 
@@ -310,8 +318,8 @@ def save_mask(mask: PruneMask, path: str) -> None:
             f.write(np.packbits(m.reshape(-1), bitorder="little").tobytes())
 
 
-def load_mask(path: str, shapes: dict[str, tuple[int, ...]] | None = None) -> PruneMask:
-    """Read a mask file; group arrays come back flat unless `shapes` is given."""
+def load_mask(path: str) -> PruneMask:
+    """Read a mask file; group arrays come back flat (`apply_mask` shapes them)."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), "mask")
     r.header(MASK_MAGIC, MASK_VERSION)
@@ -322,27 +330,7 @@ def load_mask(path: str, shapes: dict[str, tuple[int, ...]] | None = None) -> Pr
         name = r.text("H", "group name")
         (size,) = r.fields("Q", f"element count of group '{name}'")
         packed = r.take((size + 7) // 8, f"bitmap of group '{name}'")
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size,
-                             bitorder="little").astype(bool)
-        if shapes is not None:
-            if name not in shapes:
-                raise ValueError(f"mask group '{name}' unknown to the model")
-            expected = math.prod(shapes[name])
-            if size != expected:
-                raise ValueError(f"mask/model mismatch at group '{name}': "
-                                 f"{size} bits vs {expected} weights")
-            bits = bits.reshape(shapes[name])
-        masks[name] = bits
+        masks[name] = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size,
+                                    bitorder="little").astype(bool)
     r.done()
     return PruneMask(method, float(s), None if seed == -1 else int(seed), None, masks)
-
-
-def load_mask_for_model(model: Model, path: str) -> PruneMask:
-    """Load a mask file and validate it against the model's prunable groups."""
-    prunable = model.prunable_groups()
-    mask = load_mask(path, {n: g.tensor.shape for n, g in prunable.items()})
-    missing = set(prunable) - set(mask.masks)
-    if missing:
-        raise ValueError(f"mask/model mismatch at group '{sorted(missing)[0]}' "
-                         f"(missing={sorted(missing)})")
-    return mask

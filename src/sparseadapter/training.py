@@ -23,10 +23,16 @@ from .pruning import PruneMask, apply_mask
 ADAM_EPS = 1e-8
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ad.NumericError):
+    """A non-finite value at a training step. (step, cause) are the pickled
+    arguments, so the error survives the trip back from a sweep worker."""
+
     def __init__(self, step: int, cause: Exception):
-        super().__init__(f"training diverged at step {step}: {cause}")
+        super().__init__(step, cause)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"training diverged at step {self.step}: {self.args[1]}"
 
 
 @dataclass
@@ -182,7 +188,8 @@ def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,
         raise ValueError("evaluate: empty dataset")
     loss_sum = 0.0
     correct = 0
-    with ad.no_grad():
+    # overflow warnings are redundant here: any non-finite value raises NumericError
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n, batch_size):
             tb = tokens[start:start + batch_size]
             lb = labels[start:start + batch_size]
@@ -243,22 +250,16 @@ def train(model: Model, dataset, cfg: OptimizerConfig,
                     lr = lr_at(step, total_steps, cfg)
                     masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
                                      active_mask, state, cfg, lr)
+                acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
+                metrics.records.append(StepRecord(step, "train", loss.item(), acc,
+                                                  lr, kept_fraction))
+                if step % eval_every == 0 or step == total_steps:
+                    ev_loss, ev_acc = evaluate(model, dataset.eval.tokens,
+                                               dataset.eval.labels, cfg.batch_size)
+                    metrics.records.append(StepRecord(step, "eval", ev_loss, ev_acc,
+                                                      lr, kept_fraction))
             except ad.NumericError as exc:
                 raise TrainingDiverged(step, exc) from exc
-            acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-            metrics.records.append(StepRecord(step, "train", loss.item(), acc,
-                                              lr, kept_fraction))
-            if step % eval_every == 0 or step == total_steps:
-                try:
-                    with np.errstate(over="ignore", invalid="ignore",
-                                     divide="ignore"):
-                        ev_loss, ev_acc = evaluate(model, dataset.eval.tokens,
-                                                   dataset.eval.labels,
-                                                   cfg.batch_size)
-                except ad.NumericError as exc:
-                    raise TrainingDiverged(step, exc) from exc
-                metrics.records.append(StepRecord(step, "eval", ev_loss, ev_acc,
-                                                  lr, kept_fraction))
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path)
     return metrics

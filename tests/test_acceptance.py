@@ -17,7 +17,7 @@ from sparseadapter.adapters import AdapterSpec, LargeSparseConfig, \
 from sparseadapter.data import SyntheticTaskSpec, generate
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
-from sparseadapter.pruning import compute_mask, load_mask_for_model, \
+from sparseadapter.pruning import compute_mask, load_mask, \
     prune_by_percentile, round_half_up, save_mask, score_random
 from sparseadapter.training import OptimizerConfig, train
 from oracles import fd_gradient, fd_hvp, random_small_net, rel_err
@@ -360,7 +360,7 @@ def test_criterion_10_serialization(tmp_path):
     mask = compute_mask(model, "snip", 0.4, seed=10, batches=[(tokens, labels)])
     mp1, mp2 = str(tmp_path / "m1.sadm"), str(tmp_path / "m2.sadm")
     save_mask(mask, mp1)
-    save_mask(load_mask_for_model(model, mp1), mp2)
+    save_mask(load_mask(mp1), mp2)
     mask_ok = open(mp1, "rb").read() == open(mp2, "rb").read()
 
     cp1, cp2 = str(tmp_path / "c1.sacp"), str(tmp_path / "c2.sacp")

@@ -28,8 +28,8 @@ def _rand(rng, *shape):
 
 @pytest.mark.parametrize("case", [
     "add", "mul", "neg", "scale", "add_scalar", "matmul", "batched_matmul",
-    "swap", "permute", "reshape", "sum_all", "sum_axis", "broadcast", "exp",
-    "log", "tanh", "pow2", "pow_neg", "relu", "slice", "pad", "concat",
+    "swap", "permute", "reshape", "sum_all", "sum_axis", "broadcast", "tanh",
+    "pow2", "pow_neg", "relu", "slice", "pad", "concat",
     "bias_add", "softmax", "layernorm", "gelu", "cross_entropy",
 ])
 def test_primitive_gradients(case):
@@ -81,12 +81,6 @@ def test_primitive_gradients(case):
         cc = ad.Tensor(rng.uniform(-1, 1, (5, 3, 4)))
         p = {"a": _rand(rng, 3, 4)}
         fn = lambda q: ad.tsum(ad.mul(ad.broadcast_to(q["a"], (5, 3, 4)), cc))
-    elif case == "exp":
-        p = {"a": _rand(rng, 3, 4)}
-        fn = lambda q: ad.tsum(ad.mul(ad.exp(q["a"]), c))
-    elif case == "log":
-        p = {"a": ad.Tensor(rng.uniform(0.2, 2.0, (3, 4)), requires_grad=True)}
-        fn = lambda q: ad.tsum(ad.mul(ad.log(q["a"]), c))
     elif case == "tanh":
         p = {"a": _rand(rng, 3, 4)}
         fn = lambda q: ad.tsum(ad.mul(ad.tanh(q["a"]), c))
@@ -176,8 +170,8 @@ def test_random_mlp_matches_finite_differences():
 
 def test_nan_error_names_the_op():
     a = ad.Tensor(np.array([1.0, -1.0]), requires_grad=True)
-    with pytest.raises(ad.NumericError, match="log"):
-        ad.log(a)
+    with pytest.raises(ad.NumericError, match="pow"):
+        ad.powc(a, 0.5)
 
 
 def test_shape_errors():
@@ -294,12 +288,12 @@ def test_tape_is_topological():
 
 
 def test_graph_is_freed_without_the_cycle_collector():
-    # exp, tanh and softmax reuse their own output in the vjp; holding it
+    # tanh and softmax reuse their own output in the vjp; holding it
     # strongly would keep each graph alive until the cyclic collector runs
     w = ad.Tensor(np.full((2, 3), 0.1), requires_grad=True)
     gc.disable()
     try:
-        for op in (ad.exp, ad.tanh, ad.softmax_last):
+        for op in (ad.tanh, ad.softmax_last):
             ref = weakref.ref(op(w))
             assert ref() is None, op.__name__
     finally:

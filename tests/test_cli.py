@@ -290,6 +290,29 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "diverged at step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_divergence_exit_code(tmp_path, capsys, workers):
+    config = write_config(
+        tmp_path, optimizer={"peak_lr": 1e30, "epochs": 2, "batch_size": 16,
+                             "seed": 0})
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out,
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "1",
+                 "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step")
+    assert err.count("\n") == 1
+    assert "# aborted: TrainingDiverged" in open(os.path.join(out, "sweep.csv")).read()
+
+
+def test_config_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
+    # numpy refuses the ~116 TiB embedding table before allocating any of it
+    encoder = {**small_config(tmp_path)["encoder"], "vocab_size": 10**12}
+    config = write_config(tmp_path, encoder=encoder)
+    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("adapter", [
     {"variant": "houlsby", "r": 4, "gaussian_std": 1e200},
     {"variant": "lora", "r": 4, "lora_alpha": 1e308},

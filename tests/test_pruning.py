@@ -11,10 +11,9 @@ from sparseadapter.autodiff import Tensor
 from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
     freeze_backbone
 from sparseadapter.pruning import (PruneMask, ScoreMap, apply_mask, compute_mask,
-                                   er_sparsities, load_mask, load_mask_for_model,
-                                   prune_by_percentile, round_half_up, save_mask,
-                                   score_er, score_grasp, score_magnitude,
-                                   score_random, score_snip)
+                                   er_sparsities, load_mask, prune_by_percentile,
+                                   round_half_up, save_mask, score_er, score_grasp,
+                                   score_magnitude, score_random, score_snip)
 from oracles import fd_hvp, rel_err
 
 
@@ -26,7 +25,7 @@ class StubModel:
         for name, arr in weights.items():
             arr = np.asarray(arr, dtype=np.float64)
             self.groups[name] = ParamGroup(name, Tensor(arr, requires_grad=True),
-                                           True, True, 1, arr.size)
+                                           True, True)
 
     def prunable_groups(self):
         return dict(self.groups)
@@ -284,7 +283,7 @@ def test_score_er_mask_properties():
 
     mask = score_er(m, 0.4, seed=1)
     names = sorted(mask.masks)
-    dims = [(m.groups[n].n_in, m.groups[n].n_out) for n in names]
+    dims = [m.groups[n].tensor.shape for n in names]
     spars = er_sparsities(dims, 0.4)
     for name, s_g in zip(names, spars):
         kept = int(np.count_nonzero(mask.masks[name]))
@@ -417,7 +416,8 @@ def test_mask_file_roundtrip_bit_exact(tmp_path):
     mask = compute_mask(m, "snip", 0.4, seed=3, batches=[one_batch(m, 17)])
     path = str(tmp_path / "m.sadm")
     save_mask(mask, path)
-    loaded = load_mask_for_model(m, path)
+    apply_mask(m, load_mask(path))
+    loaded = m.mask
     assert loaded.method == mask.method
     assert loaded.s == mask.s
     assert loaded.seed == mask.seed
@@ -456,4 +456,4 @@ def test_mask_file_model_mismatch(tmp_path):
     path = str(tmp_path / "m.sadm")
     save_mask(mask, path)
     with pytest.raises(ValueError, match="layer0"):
-        load_mask_for_model(other, path)
+        apply_mask(other, load_mask(path))

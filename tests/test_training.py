@@ -78,7 +78,7 @@ def test_lr_no_warmup():
 
 def _param(name, arr):
     arr = np.asarray(arr, dtype=np.float64)
-    return ParamGroup(name, Tensor(arr, requires_grad=True), True, False, 1, arr.size)
+    return ParamGroup(name, Tensor(arr, requires_grad=True), True, False)
 
 
 def test_zero_grads_zero_decay_is_noop():
