@@ -30,3 +30,20 @@ __all__ = [
     "score_grasp", "score_magnitude", "score_random", "score_snip",
     "train", "trainable_param_report",
 ]
+
+
+def _pin_blas(threads: str) -> None:
+    """OpenBLAS reads the variables only when it loads, which numpy may have
+    done before this package: set the count on the bundled library itself."""
+    import ctypes
+    import glob
+    import numpy
+    libs = _os.path.join(_os.path.dirname(numpy.__file__), _os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(_os.path.join(libs, "libscipy_openblas*.so*"))):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None and threads.isdigit() and int(threads) > 0:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(int(threads))
+
+
+_pin_blas(_os.environ["OPENBLAS_NUM_THREADS"])

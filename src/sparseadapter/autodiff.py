@@ -1,10 +1,18 @@
 """Dense float64 tensor engine with reverse-mode autodiff and exact Hessian-vector products.
 
-Every primitive propagates gradients through closures that are themselves built
-from engine ops, so a gradient computed with ``create_graph=True`` is a
-differentiable graph and ``hvp`` is exact second-order (no finite differences
-inside the engine). All storage is 64-bit, row-major numpy. Any op that
-produces a NaN/Inf raises immediately instead of propagating it.
+Each vjp is written once against an ops namespace. ``backward(create_graph=True)``
+runs it on the engine, so gradients are differentiable graphs and ``hvp`` is
+exact second-order (no finite differences inside the engine); a first-order
+backward runs it on `_Arrays`, the same op names over plain ndarrays. Each engine
+op computes its value with the `_Arrays` function of the same name, so both
+backends give the same bits. All storage is 64-bit, row-major numpy.
+
+Every forward op, and every op of a create-graph backward, raises `NumericError`
+naming itself when it produces a NaN/Inf. A first-order backward instead runs
+with numpy's overflow, invalid and divide flags raising and checks each gradient
+once; if either trips, it replays the backward on the engine, so that the error
+names the op. A check of the gradients alone would miss an overflow that comes
+back finite, as ``xc * xc`` -> inf -> ``inf ** -0.5`` = 0 does in layer_norm's vjp.
 """
 
 from __future__ import annotations
@@ -128,148 +136,12 @@ def detach(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each vjp returns one engine tensor (or None) per parent and is
-# written in engine ops so that gradients are themselves differentiable.
+# The two backends a vjp runs on
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-
-    def vjp(g, needs):
-        return g if needs[0] else None, g if needs[1] else None
-
-    return _from_op("add", a.data + b.data, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        return (neg(g),)
-
-    return _from_op("neg", -a.data, (a,), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-
-    def vjp(g, needs):
-        return (mul(g, b) if needs[0] else None,
-                mul(g, a) if needs[1] else None)
-
-    return _from_op("mul", a.data * b.data, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g, needs):
-        return (scale(g, c),)
-
-    return _from_op("scale", a.data * c, (a,), vjp)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g, needs):
-        return (g,)
-
-    return _from_op("add_scalar", a.data + c, (a,), vjp)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; operands must have equal ndim and identical batch dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim != a.ndim:
-        raise ShapeError(f"matmul: need equal ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-
-    def vjp(g, needs):
-        return (matmul(g, swap_last2(b)) if needs[0] else None,
-                matmul(swap_last2(a), g) if needs[1] else None)
-
-    return _from_op("matmul", np.matmul(a.data, b.data), (a, b), vjp)
-
-
-def swap_last2(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        return (swap_last2(g),)
-
-    return _from_op("swap_last2", np.swapaxes(a.data, -1, -2), (a,), vjp)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def vjp(g, needs):
-        return (permute(g, inv),)
-
-    return _from_op("permute", np.transpose(a.data, axes), (a,), vjp)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    orig = a.shape
-
-    def vjp(g, needs):
-        return (reshape(g, orig),)
-
-    return _from_op("reshape", np.reshape(a.data, shape), (a,), vjp)
-
-
-def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    """Sum over the given axes (all axes when None)."""
-    nd = a.ndim
-    norm = tuple(range(nd)) if axes is None else tuple(sorted(ax % nd for ax in axes))
-    orig = a.shape
-    kd_shape = tuple(1 if i in norm else orig[i] for i in range(nd))
-
-    def vjp(g, needs):
-        gg = g if keepdims or nd == 0 else reshape(g, kd_shape)
-        return (broadcast_to(gg, orig),)
-
-    return _from_op("sum", np.sum(a.data, axis=norm, keepdims=keepdims), (a,), vjp)
-
-
-def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    orig = a.shape
-    lead = len(shape) - len(orig)
-    if lead < 0:
-        raise ShapeError(f"broadcast_to: cannot broadcast {orig} to {shape}")
-    reduce_axes = tuple(range(lead)) + tuple(
-        lead + i for i in range(len(orig)) if orig[i] == 1 and shape[lead + i] != 1
-    )
-
-    def vjp(g, needs):
-        r = tsum(g, axes=reduce_axes, keepdims=True) if reduce_axes else g
-        return (reshape(r, orig),)
-
-    return _from_op("broadcast", np.broadcast_to(a.data, shape), (a,), vjp)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def vjp(g, needs):
-        # 1 - tanh(x)^2, expressed on the recorded output
-        out = out_ref()
-        return (mul(g, add_scalar(neg(mul(out, out)), 1.0)),)
-
-    out = _from_op("tanh", out_data, (a,), vjp)
-    out_ref = weakref.ref(out)
-    return out
+# Tanh-approximation constants; the derivative uses the same constant set.
+GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
+GELU_C1 = 0.044715
 
 
 def _pow_data(x: np.ndarray, p: float) -> np.ndarray:
@@ -290,14 +162,249 @@ def _pow_data(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, p)
 
 
+def _sum_axes(nd: int, axes: Sequence[int] | None) -> tuple[int, ...]:
+    return tuple(range(nd)) if axes is None else tuple(sorted(ax % nd for ax in axes))
+
+
+class _Arrays:
+    """First-order backend: the engine's op names over plain float64 arrays.
+
+    A namespace, never instantiated. Each engine op computes its value with
+    the function of the same name here, so each numpy expression exists once
+    and a vjp makes the same numpy calls on either backend. Nothing here
+    checks its result or changes numpy's error state: `backward` guards the
+    whole pass.
+    """
+
+    def val(t: Tensor) -> np.ndarray:
+        return t.data
+
+    add = np.add
+    add_scalar = np.add
+    bias_add = np.add
+    neg = np.negative
+    sub = np.subtract
+    mul = np.multiply
+    scale = np.multiply
+    matmul = np.matmul
+    permute = np.transpose
+    reshape = np.reshape
+    broadcast_to = np.broadcast_to
+    tanh = np.tanh
+    concat = np.concatenate
+    powc = _pow_data
+
+    def swap_last2(a):
+        return np.swapaxes(a, -1, -2)
+
+    def tsum(a, axes=None, keepdims=False):
+        return np.sum(a, axis=_sum_axes(np.ndim(a), axes), keepdims=keepdims)
+
+    def relu(a):
+        return np.maximum(a, 0.0)
+
+    # slice_axis and pad_axis take a non-negative axis, as the engine passes it
+    def slice_axis(a, axis, start, stop):
+        return a[(slice(None),) * axis + (slice(start, stop),)]
+
+    def pad_axis(a, axis, before, total):
+        z = np.zeros(a.shape[:axis] + (total,) + a.shape[axis + 1:])
+        z[(slice(None),) * axis + (slice(before, before + a.shape[axis]),)] = a
+        return z
+
+    def softmax_last(x):
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    def cross_entropy_logits(z, labels):
+        m = np.max(z, axis=-1, keepdims=True)
+        lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=-1))
+        return np.mean(lse - z[np.arange(len(labels)), labels])
+
+    def layer_norm(x, gamma, beta, eps):
+        mu = np.mean(x, axis=-1, keepdims=True)
+        xc = x - mu
+        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
+        return xc * inv * gamma + beta
+
+    def gelu(x):
+        return 0.5 * x * (1.0 + np.tanh(GELU_C0 * (x + GELU_C1 * _pow_data(x, 3.0))))
+
+
+class _Engine:
+    """Create-graph backend: the engine ops, looked up on this module at each
+    call, so that a wrapper installed on the module sees every op a vjp makes."""
+
+    @staticmethod
+    def val(t: Tensor) -> Tensor:
+        return t
+
+    def __getattr__(self, name: str):
+        return globals()[name]
+
+
+_ENGINE = _Engine()
+
+
+# ---------------------------------------------------------------------------
+# Primitives. Each vjp(g, needs, ops) returns one gradient (or None) per
+# parent, computed with `ops` from g and from `ops.val` of the tensors it
+# closes over.
+# ---------------------------------------------------------------------------
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+
+    def vjp(g, needs, ops):
+        return g if needs[0] else None, g if needs[1] else None
+
+    return _from_op("add", _Arrays.add(a.data, b.data), (a, b), vjp)
+
+
+def neg(a: Tensor) -> Tensor:
+    def vjp(g, needs, ops):
+        return (ops.neg(g),)
+
+    return _from_op("neg", _Arrays.neg(a.data), (a,), vjp)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
+
+    def vjp(g, needs, ops):
+        return g if needs[0] else None, ops.neg(g) if needs[1] else None
+
+    return _from_op("sub", _Arrays.sub(a.data, b.data), (a, b), vjp)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+
+    def vjp(g, needs, ops):
+        return (ops.mul(g, ops.val(b)) if needs[0] else None,
+                ops.mul(g, ops.val(a)) if needs[1] else None)
+
+    return _from_op("mul", _Arrays.mul(a.data, b.data), (a, b), vjp)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+
+    def vjp(g, needs, ops):
+        return (ops.scale(g, c),)
+
+    return _from_op("scale", _Arrays.scale(a.data, c), (a,), vjp)
+
+
+def add_scalar(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+
+    def vjp(g, needs, ops):
+        return (g,)
+
+    return _from_op("add_scalar", _Arrays.add_scalar(a.data, c), (a,), vjp)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; operands must have equal ndim and identical batch dims."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim != a.ndim:
+        raise ShapeError(f"matmul: need equal ndim >= 2, got {a.shape} @ {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: batch dims differ, {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+
+    def vjp(g, needs, ops):
+        return (ops.matmul(g, ops.swap_last2(ops.val(b))) if needs[0] else None,
+                ops.matmul(ops.swap_last2(ops.val(a)), g) if needs[1] else None)
+
+    return _from_op("matmul", _Arrays.matmul(a.data, b.data), (a, b), vjp)
+
+
+def swap_last2(a: Tensor) -> Tensor:
+    def vjp(g, needs, ops):
+        return (ops.swap_last2(g),)
+
+    return _from_op("swap_last2", _Arrays.swap_last2(a.data), (a,), vjp)
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    axes = tuple(axes)
+    inv = tuple(int(i) for i in np.argsort(axes))
+
+    def vjp(g, needs, ops):
+        return (ops.permute(g, inv),)
+
+    return _from_op("permute", _Arrays.permute(a.data, axes), (a,), vjp)
+
+
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(shape)
+    orig = a.shape
+
+    def vjp(g, needs, ops):
+        return (ops.reshape(g, orig),)
+
+    return _from_op("reshape", _Arrays.reshape(a.data, shape), (a,), vjp)
+
+
+def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+    """Sum over the given axes (all axes when None)."""
+    nd = a.ndim
+    norm = _sum_axes(nd, axes)
+    orig = a.shape
+    kd_shape = tuple(1 if i in norm else orig[i] for i in range(nd))
+
+    def vjp(g, needs, ops):
+        gg = g if keepdims or nd == 0 else ops.reshape(g, kd_shape)
+        return (ops.broadcast_to(gg, orig),)
+
+    return _from_op("sum", _Arrays.tsum(a.data, norm, keepdims), (a,), vjp)
+
+
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(shape)
+    orig = a.shape
+    lead = len(shape) - len(orig)
+    if lead < 0:
+        raise ShapeError(f"broadcast_to: cannot broadcast {orig} to {shape}")
+    reduce_axes = tuple(range(lead)) + tuple(
+        lead + i for i in range(len(orig)) if orig[i] == 1 and shape[lead + i] != 1
+    )
+
+    def vjp(g, needs, ops):
+        r = ops.tsum(g, axes=reduce_axes, keepdims=True) if reduce_axes else g
+        return (ops.reshape(r, orig),)
+
+    return _from_op("broadcast", _Arrays.broadcast_to(a.data, shape), (a,), vjp)
+
+
+def tanh(a: Tensor) -> Tensor:
+    def vjp(g, needs, ops):
+        # 1 - tanh(x)^2, expressed on the recorded output
+        out = ops.val(out_ref())
+        return (ops.mul(g, ops.add_scalar(ops.neg(ops.mul(out, out)), 1.0)),)
+
+    out = _from_op("tanh", _Arrays.tanh(a.data), (a,), vjp)
+    out_ref = weakref.ref(out)
+    return out
+
+
 def powc(a: Tensor, p: float) -> Tensor:
     p = float(p)
 
-    def vjp(g, needs):
-        return (mul(g, scale(powc(a, p - 1.0), p)),)
+    def vjp(g, needs, ops):
+        return (ops.mul(g, ops.scale(ops.powc(ops.val(a), p - 1.0), p)),)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out_data = _pow_data(a.data, p)
+        out_data = _Arrays.powc(a.data, p)
     return _from_op("pow", out_data, (a,), vjp)
 
 
@@ -305,21 +412,20 @@ def relu(a: Tensor) -> Tensor:
     # Gate captured as a constant: piecewise-constant factor, zero curvature.
     gate = Tensor((a.data > 0).astype(np.float64))
 
-    def vjp(g, needs):
-        return (mul(g, gate),)
+    def vjp(g, needs, ops):
+        return (ops.mul(g, ops.val(gate)),)
 
-    return _from_op("relu", np.maximum(a.data, 0.0), (a,), vjp)
+    return _from_op("relu", _Arrays.relu(a.data), (a,), vjp)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     axis = axis % a.ndim
     total = a.shape[axis]
-    idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))
 
-    def vjp(g, needs):
-        return (pad_axis(g, axis, start, total),)
+    def vjp(g, needs, ops):
+        return (ops.pad_axis(g, axis, start, total),)
 
-    return _from_op("slice", a.data[idx], (a,), vjp)
+    return _from_op("slice", _Arrays.slice_axis(a.data, axis, start, stop), (a,), vjp)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
@@ -328,19 +434,11 @@ def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
     length = a.shape[axis]
     if before < 0 or before + length > total:
         raise ShapeError(f"pad_axis: segment [{before}, {before + length}) outside [0, {total})")
-    target = tuple(total if i == axis else a.shape[i] for i in range(a.ndim))
-    idx = tuple(slice(before, before + length) if i == axis else slice(None)
-                for i in range(a.ndim))
 
-    def fwd(x):
-        z = np.zeros(target)
-        z[idx] = x
-        return z
+    def vjp(g, needs, ops):
+        return (ops.slice_axis(g, axis, before, before + length),)
 
-    def vjp(g, needs):
-        return (slice_axis(g, axis, before, before + length),)
-
-    return _from_op("pad", fwd(a.data), (a,), vjp)
+    return _from_op("pad", _Arrays.pad_axis(a.data, axis, before, total), (a,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -349,18 +447,18 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    def vjp(g, needs):
-        return tuple(slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
+    def vjp(g, needs, ops):
+        return tuple(ops.slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
                      if needs[i] else None for i in range(len(parts)))
 
-    return _from_op("concat", np.concatenate([p.data for p in parts], axis=axis),
+    return _from_op("concat", _Arrays.concat([p.data for p in parts], axis),
                     tuple(parts), vjp)
 
 
 # ---------------------------------------------------------------------------
 # Fused ops used by the encoder: affine, softmax, layernorm, gelu,
 # cross-entropy. Forwards run as single numpy chains; every vjp is still
-# expressed in engine ops, so second derivatives stay exact.
+# expressed in ops, so second derivatives stay exact.
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -373,13 +471,13 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias_add: {x.shape} + {b.shape}")
     lead = tuple(range(x.ndim - 1))
 
-    def vjp(g, needs):
+    def vjp(g, needs, ops):
         gb = None
         if needs[1]:
-            gb = tsum(g, axes=lead) if lead else g
+            gb = ops.tsum(g, axes=lead) if lead else g
         return (g if needs[0] else None, gb)
 
-    return _from_op("bias_add", x.data + b.data, (x, b), vjp)
+    return _from_op("bias_add", _Arrays.bias_add(x.data, b.data), (x, b), vjp)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -389,17 +487,13 @@ def softmax_last(x: Tensor) -> Tensor:
     The vjp p * (g - sum(g * p)) reuses the output node, which keeps it
     differentiable for free.
     """
-    def fwd(xx):
-        e = np.exp(xx - np.max(xx, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True)
+    def vjp(g, needs, ops):
+        out = ops.val(out_ref())
+        gp = ops.mul(g, out)
+        return (ops.sub(gp, ops.mul(out, ops.broadcast_to(
+            ops.tsum(gp, axes=(-1,), keepdims=True), out.shape))),)
 
-    def vjp(g, needs):
-        out = out_ref()
-        gp = mul(g, out)
-        return (sub(gp, mul(out, broadcast_to(tsum(gp, axes=(-1,), keepdims=True),
-                                              out.shape))),)
-
-    out = _from_op("softmax", fwd(x.data), (x,), vjp)
+    out = _from_op("softmax", _Arrays.softmax_last(x.data), (x,), vjp)
     out_ref = weakref.ref(out)
     return out
 
@@ -408,7 +502,7 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of (batch, classes) logits against integer labels.
 
     Fused with log-sum-exp stabilization; the gradient (softmax - onehot)/n
-    recomputes the softmax through the engine so hvp sees the curvature.
+    recomputes the softmax through `ops` so hvp sees the curvature.
     """
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy_logits: logits must be 2-D, got {logits.shape}")
@@ -420,17 +514,15 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError("cross_entropy_logits: label outside [0, n_classes)")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
+    onehot = Tensor(onehot)
 
-    def fwd(z):
-        m = np.max(z, axis=-1, keepdims=True)
-        lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=-1))
-        return np.mean(lse - z[np.arange(n), labels])
+    def vjp(g, needs, ops):
+        probs = ops.softmax_last(ops.val(logits))
+        delta = ops.scale(ops.sub(probs, ops.val(onehot)), 1.0 / n)
+        return (ops.mul(ops.broadcast_to(ops.reshape(g, (1, 1)), (n, c)), delta),)
 
-    def vjp(g, needs):
-        delta = scale(sub(softmax_last(logits), Tensor(onehot)), 1.0 / n)
-        return (mul(broadcast_to(reshape(g, (1, 1)), (n, c)), delta),)
-
-    return _from_op("cross_entropy", fwd(logits.data), (logits,), vjp)
+    return _from_op("cross_entropy", _Arrays.cross_entropy_logits(logits.data, labels),
+                    (logits,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -442,65 +534,49 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.shape[-1]
     lead = tuple(range(x.ndim - 1))
 
-    def norm(xx):
-        mu = np.mean(xx, axis=-1, keepdims=True)
-        xc = xx - mu
-        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
-        return xc * inv
-
-    def fwd(xx, gg, bb):
-        return norm(xx) * gg + bb
-
-    def _normalized():
-        # engine-side recomputation of y = (x - mean) / std for the vjp
-        mu = scale(tsum(x, axes=(-1,), keepdims=True), 1.0 / d)
-        xc = sub(x, broadcast_to(mu, x.shape))
-        var = scale(tsum(mul(xc, xc), axes=(-1,), keepdims=True), 1.0 / d)
-        inv = powc(add_scalar(var, eps), -0.5)
-        return mul(xc, broadcast_to(inv, x.shape)), inv
-
-    def vjp(g, needs):
-        y, inv = _normalized()
+    def vjp(g, needs, ops):
+        # y = (x - mean) / std, recomputed through ops so that hvp sees it
+        xv = ops.val(x)
+        mu = ops.scale(ops.tsum(xv, axes=(-1,), keepdims=True), 1.0 / d)
+        xc = ops.sub(xv, ops.broadcast_to(mu, x.shape))
+        var = ops.scale(ops.tsum(ops.mul(xc, xc), axes=(-1,), keepdims=True), 1.0 / d)
+        inv = ops.powc(ops.add_scalar(var, eps), -0.5)
+        y = ops.mul(xc, ops.broadcast_to(inv, x.shape))
         gx = ggamma = gbeta = None
         if needs[0]:
-            gamma_wide = broadcast_to(reshape(gamma, (1,) * len(lead) + (d,)), x.shape)
-            gy = mul(g, gamma_wide)
-            mean_gy = scale(tsum(gy, axes=(-1,), keepdims=True), 1.0 / d)
-            mean_gyy = scale(tsum(mul(gy, y), axes=(-1,), keepdims=True), 1.0 / d)
-            centered = sub(sub(gy, broadcast_to(mean_gy, x.shape)),
-                           mul(y, broadcast_to(mean_gyy, x.shape)))
-            gx = mul(centered, broadcast_to(inv, x.shape))
+            gamma_wide = ops.broadcast_to(
+                ops.reshape(ops.val(gamma), (1,) * len(lead) + (d,)), x.shape)
+            gy = ops.mul(g, gamma_wide)
+            mean_gy = ops.scale(ops.tsum(gy, axes=(-1,), keepdims=True), 1.0 / d)
+            mean_gyy = ops.scale(ops.tsum(ops.mul(gy, y), axes=(-1,), keepdims=True),
+                                 1.0 / d)
+            centered = ops.sub(ops.sub(gy, ops.broadcast_to(mean_gy, x.shape)),
+                               ops.mul(y, ops.broadcast_to(mean_gyy, x.shape)))
+            gx = ops.mul(centered, ops.broadcast_to(inv, x.shape))
         if needs[1]:
-            ggamma = tsum(mul(g, y), axes=lead) if lead else mul(g, y)
+            ggamma = ops.tsum(ops.mul(g, y), axes=lead) if lead else ops.mul(g, y)
         if needs[2]:
-            gbeta = tsum(g, axes=lead) if lead else g
+            gbeta = ops.tsum(g, axes=lead) if lead else g
         return gx, ggamma, gbeta
 
-    return _from_op("layernorm", fwd(x.data, gamma.data, beta.data),
+    return _from_op("layernorm", _Arrays.layer_norm(x.data, gamma.data, beta.data, eps),
                     (x, gamma, beta), vjp)
-
-
-# Tanh-approximation constants; the derivative uses the same constant set.
-GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
-GELU_C1 = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
     """0.5 x (1 + tanh(c0 (x + c1 x^3)))."""
-    def fwd(xx):
-        return 0.5 * xx * (1.0 + np.tanh(GELU_C0 * (xx + GELU_C1 * xx ** 3)))
-
-    def vjp(g, needs):
+    def vjp(g, needs, ops):
         # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2),  t = tanh(...)
-        x2 = mul(x, x)
-        t = tanh(scale(add(x, scale(mul(x2, x), GELU_C1)), GELU_C0))
-        one_minus_t2 = add_scalar(neg(mul(t, t)), 1.0)
-        du = scale(add_scalar(scale(x2, 3.0 * GELU_C1), 1.0), GELU_C0)
-        deriv = add(scale(add_scalar(t, 1.0), 0.5),
-                    mul(scale(x, 0.5), mul(one_minus_t2, du)))
-        return (mul(g, deriv),)
+        xv = ops.val(x)
+        x2 = ops.mul(xv, xv)
+        t = ops.tanh(ops.scale(ops.add(xv, ops.scale(ops.mul(x2, xv), GELU_C1)), GELU_C0))
+        one_minus_t2 = ops.add_scalar(ops.neg(ops.mul(t, t)), 1.0)
+        du = ops.scale(ops.add_scalar(ops.scale(x2, 3.0 * GELU_C1), 1.0), GELU_C0)
+        deriv = ops.add(ops.scale(ops.add_scalar(t, 1.0), 0.5),
+                        ops.mul(ops.scale(xv, 0.5), ops.mul(one_minus_t2, du)))
+        return (ops.mul(g, deriv),)
 
-    return _from_op("gelu", fwd(x.data), (x,), vjp)
+    return _from_op("gelu", _Arrays.gelu(x.data), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +609,29 @@ class Tape:
         return cls(nodes)
 
 
+def _run_vjps(loss: Tensor, params: Mapping[str, Tensor], ops, seed) -> dict:
+    """Every vjp behind `loss`, run on backend `ops`; gradients by parameter name."""
+    param_names = {t._id: name for name, t in params.items()}
+    grads = {loss._id: seed}
+    result = {}
+    for node in reversed(Tape.from_output(loss).nodes):
+        g = grads.pop(node._id, None)
+        if g is None:
+            continue
+        name = param_names.get(node._id)
+        if name is not None:
+            result[name] = g
+        if node._vjp is None:
+            continue
+        needs = tuple(p.requires_grad for p in node._parents)
+        for parent, pg in zip(node._parents, node._vjp(g, needs, ops)):
+            if pg is None:
+                continue
+            acc = grads.get(parent._id)
+            grads[parent._id] = pg if acc is None else ops.add(acc, pg)
+    return result
+
+
 def backward(loss: Tensor, params: Mapping[str, Tensor],
              create_graph: bool = False) -> dict[str, Tensor]:
     """Gradients of a scalar loss for every tensor in `params`.
@@ -546,32 +645,18 @@ def backward(loss: Tensor, params: Mapping[str, Tensor],
     if not any(t.requires_grad for t in params.values()):
         raise ValueError("backward: no parameter has requires_grad set")
 
-    param_names = {t._id: name for name, t in params.items()}
-    grads: dict[int, Tensor] = {loss._id: Tensor(1.0)}
-    result: dict[str, Tensor] = {}
-
-    def run():
-        for node in reversed(Tape.from_output(loss).nodes):
-            g = grads.pop(node._id, None)
-            if g is None:
-                continue
-            name = param_names.get(node._id)
-            if name is not None:
-                result[name] = g
-            if node._vjp is None:
-                continue
-            needs = tuple(p.requires_grad for p in node._parents)
-            for parent, pg in zip(node._parents, node._vjp(g, needs)):
-                if pg is None:
-                    continue
-                acc = grads.get(parent._id)
-                grads[parent._id] = pg if acc is None else add(acc, pg)
-
     if create_graph:
-        run()
+        result = _run_vjps(loss, params, _ENGINE, Tensor(1.0))
     else:
-        with no_grad():
-            run()
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                # Tensor() checks each gradient once
+                result = {name: Tensor(g) for name, g in
+                          _run_vjps(loss, params, _Arrays, np.ones(())).items()}
+        except (FloatingPointError, NumericError):
+            # replay on the engine, whose per-op checks name the op at fault
+            with no_grad():
+                result = _run_vjps(loss, params, _ENGINE, Tensor(1.0))
 
     for name, t in params.items():
         if name not in result:

@@ -1,5 +1,5 @@
 """Engine tests: every primitive against finite differences, backward/hvp
-contracts, tape topology, determinism."""
+contracts, the two vjp backends, tape topology, determinism."""
 
 import gc
 import weakref
@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 import sparseadapter.autodiff as ad
+from sparseadapter.adapters import AdapterSpec, insert_adapters
+from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
+from sparseadapter.pruning import score_grasp
 from oracles import fd_gradient, fd_hvp, random_small_net, rel_err
 
 
@@ -253,6 +256,85 @@ def test_hvp_zero_hessian():
     fn = lambda p: ad.tsum(ad.mul(p["w"], coeff))
     hv = ad.hvp(fn, {"w": w}, {"w": ad.Tensor(np.ones(4))})
     assert np.all(hv["w"].data == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# first-order backward on plain arrays
+# ---------------------------------------------------------------------------
+
+def _encoder(variant, frozen):
+    cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=4, d_ff=32,
+                        n_layers=2, max_seq_len=16, n_classes=4)
+    m = build_encoder(cfg, 0)
+    insert_adapters(m, AdapterSpec(variant=variant, r=4), 1)
+    if frozen:
+        freeze_backbone(m)
+    return m
+
+
+def _batch(seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 50, (3, 8)), rng.integers(0, 4, 3)
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_array_backend_matches_engine_bitwise(variant, frozen):
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    loss = m.loss(*_batch(31))
+    plain = ad.backward(loss, params)
+    graph = ad.backward(loss, params, create_graph=True)
+    assert plain.keys() == graph.keys()
+    for name in params:
+        assert plain[name].data.tobytes() == graph[name].data.tobytes(), name
+
+
+def test_grasp_scores_match_engine_bitwise(monkeypatch):
+    m = _encoder("houlsby", True)
+    batches = [_batch(37), _batch(41)]
+    plain = score_grasp(m, batches)
+    backward = ad.backward
+
+    def engine_backward(loss, params, create_graph=False):
+        # the first-order values, computed by engine ops
+        return backward(loss, params, create_graph=True)
+
+    monkeypatch.setattr(ad, "backward", engine_backward)
+    engine = score_grasp(m, batches)
+    for name in plain.scores:
+        assert plain.scores[name].tobytes() == engine.scores[name].tobytes(), name
+
+
+def test_first_order_backward_builds_no_engine_op(monkeypatch):
+    m = _encoder("mam", True)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    loss = m.loss(*_batch(43))
+    calls = []
+    from_op = ad._from_op
+
+    def counting(*args):
+        calls.append(args[0])
+        return from_op(*args)
+
+    monkeypatch.setattr(ad, "_from_op", counting)
+    ad.backward(loss, params)
+    assert calls == []
+    ad.backward(loss, params, create_graph=True)
+    assert calls
+
+
+def test_overflow_that_comes_back_finite_still_raises():
+    # xc * xc overflows to inf in the vjp, and inf ** -0.5 turns it into 0:
+    # every gradient would be finite, and wrong
+    x = ad.Tensor(np.array([[1e160, -1e160, 3e159, 0.0]]), requires_grad=True)
+    gamma = ad.Tensor(np.ones(4), requires_grad=True)
+    beta = ad.Tensor(np.zeros(4), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss = ad.tsum(ad.layer_norm(x, gamma, beta))
+        assert np.isfinite(loss.data)
+        with pytest.raises(ad.NumericError, match="'mul'"):
+            ad.backward(loss, {"x": x, "gamma": gamma, "beta": beta})
 
 
 # ---------------------------------------------------------------------------
