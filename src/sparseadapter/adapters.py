@@ -43,7 +43,7 @@ class AdapterSpec:
     gaussian_std: float = 1e-2
     lora_zero_b: bool = False
 
-    def validate(self) -> None:
+    def validate(self, d_model: int | None = None) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown adapter variant '{self.variant}'")
         if self.r < 1:
@@ -52,6 +52,8 @@ class AdapterSpec:
             raise ValueError("gaussian_std must be > 0")
         if self.variant == "mam" and self.prefix_len < 1:
             raise ValueError("mam requires prefix_len >= 1")
+        if d_model is not None and self.r >= d_model:
+            raise ValueError(f"bottleneck r={self.r} must be < d_model={d_model}")
 
 
 @dataclass
@@ -169,11 +171,9 @@ def _add_lora(model: Model, rng: np.random.Generator, proj: str,
 
 def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
     """Register adapter parameter groups and wire them into the forward pass."""
-    spec.validate()
+    spec.validate(model.cfg.d_model)
     if model.adapter_spec is not None:
         raise ValueError("model already has adapters")
-    if spec.r >= model.cfg.d_model:
-        raise ValueError(f"bottleneck r={spec.r} must be < d_model={model.cfg.d_model}")
 
     rng = np.random.default_rng(seed)
     for i in range(model.cfg.n_layers):

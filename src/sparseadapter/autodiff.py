@@ -181,7 +181,6 @@ class _Arrays:
 
     add = np.add
     add_scalar = np.add
-    bias_add = np.add
     neg = np.negative
     sub = np.subtract
     mul = np.multiply
@@ -202,6 +201,11 @@ class _Arrays:
 
     def relu(a):
         return np.maximum(a, 0.0)
+
+    def affine(x, w, b):
+        out = np.matmul(x, w)
+        out += b
+        return out
 
     # slice_axis and pad_axis take a non-negative axis, as the engine passes it
     def slice_axis(a, axis, start, stop):
@@ -457,27 +461,21 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Fused ops used by the encoder: affine, softmax, layernorm, gelu,
-# cross-entropy. Forwards run as single numpy chains; every vjp is still
-# expressed in ops, so second derivatives stay exact.
+# cross-entropy. Each is one node with one output buffer, computed by a single
+# numpy chain; every vjp is still expressed in ops, so hvp stays exact.
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for 2-D x (rows, n_in) and 1-D bias (n_out,)."""
-    return bias_add(matmul(x, w), b)
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"bias_add: {x.shape} + {b.shape}")
-    lead = tuple(range(x.ndim - 1))
+    """x @ w + b for 2-D x (rows, n_in), 2-D w (n_in, n_out) and 1-D b (n_out,)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape}")
 
     def vjp(g, needs, ops):
-        gb = None
-        if needs[1]:
-            gb = ops.tsum(g, axes=lead) if lead else g
-        return (g if needs[0] else None, gb)
+        return (ops.matmul(g, ops.swap_last2(ops.val(w))) if needs[0] else None,
+                ops.matmul(ops.swap_last2(ops.val(x)), g) if needs[1] else None,
+                ops.tsum(g, axes=(0,)) if needs[2] else None)
 
-    return _from_op("bias_add", _Arrays.bias_add(x.data, b.data), (x, b), vjp)
+    return _from_op("affine", _Arrays.affine(x.data, w.data, b.data), (x, w, b), vjp)
 
 
 def softmax_last(x: Tensor) -> Tensor:

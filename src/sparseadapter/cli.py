@@ -71,6 +71,9 @@ class ExperimentConfig:
     output_dir: str = "runs"
     seed: int = 0
 
+    def validate(self) -> None:
+        self.adapter.validate(self.encoder.d_model)
+
 
 def _from_dict(cls, payload, where: str):
     """Build and validate dataclass `cls` from a JSON object, checking each
@@ -261,9 +264,6 @@ def _sweep_points(cfg: ExperimentConfig, axis: str,
     if axis == "sparsity":
         return [point(cfg.prune.method, float(v), cfg.adapter.r) for v in values]
     if axis == "method":
-        for v in values:
-            if v not in PRUNE_METHODS:
-                raise ValueError(f"unknown method '{v}' in sweep values")
         return [point(v, cfg.prune.s, cfg.adapter.r) for v in values]
     if axis == "large-sparse":
         grid = [LargeSparseConfig(cfg.adapter.r, int(v)) for v in values]
@@ -325,7 +325,14 @@ def _write_sweep_csv(path: str, rows: list[dict], aborted: str | None = None) ->
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
               seeds: int = 3, workers: int = 1) -> str:
+    if seeds < 1 or workers < 1:
+        raise ValueError(f"--seeds and --workers must be >= 1, got {seeds} and {workers}")
     points = _sweep_points(cfg, axis, values)
+    for v, point in zip(values, points):     # every point checked before any job runs
+        try:
+            parse_config(dataclasses.asdict(point))
+        except ValueError as exc:
+            raise ValueError(f"sweep value {v!r}: {exc}") from None
     jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -9,7 +9,7 @@ percentile cut, so a single keep-the-top rule serves every method:
   * snip       - w * g   (g: loss gradient on scoring batches; the raw
                  sensitivity -w*g is negated so low loss-effect is dropped);
                  ``snip_abs`` switches to |w * g|
-  * grasp      - w * h   (h: Hessian-gradient product, exact double backward)
+  * grasp      - w * h   (h = H g = sum_b H_b g, one batch's graph at a time)
   * er         - no elementwise score; per-layer random topology with
                  size-dependent sparsity allocation
 
@@ -134,23 +134,18 @@ def score_snip(model: Model, batches: Sequence, loss_fn: Callable = _default_los
 
 def score_grasp(model: Model, batches: Sequence,
                 loss_fn: Callable = _default_loss) -> ScoreMap:
-    """Gradient-flow scores from the Hessian-gradient product h = H g."""
+    """Gradient-flow scores from h = H g = sum_b H_b g, one batch's graph at a
+    time; g, the summed gradient, must be complete before the first H_b g."""
     if not batches:
         raise ValueError("grasp scoring needs at least one batch")
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
-    grads = _sum_grads(model, batches, loss_fn)
-
-    def summed_loss(p):
-        total = None
-        for tokens, labels in batches:
-            term = loss_fn(model, tokens, labels)
-            total = term if total is None else ad.add(total, term)
-        return total
-
-    direction = {n: Tensor(g) for n, g in grads.items()}
-    h = ad.hvp(summed_loss, params, direction)
-    weights = _prunable(model)
-    return ScoreMap("grasp", {n: weights[n] * h[n].data for n in weights})
+    direction = {n: Tensor(g) for n, g in _sum_grads(model, batches, loss_fn).items()}
+    h = {n: np.zeros(t.shape) for n, t in params.items()}
+    for tokens, labels in batches:
+        hb = ad.hvp(lambda p: loss_fn(model, tokens, labels), params, direction)
+        for n in h:
+            h[n] += hb[n].data
+    return ScoreMap("grasp", {n: params[n].data * h[n] for n in params})
 
 
 # ---------------------------------------------------------------------------

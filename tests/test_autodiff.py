@@ -33,7 +33,7 @@ def _rand(rng, *shape):
     "add", "mul", "neg", "scale", "add_scalar", "matmul", "batched_matmul",
     "swap", "permute", "reshape", "sum_all", "sum_axis", "broadcast", "tanh",
     "pow2", "pow_neg", "relu", "slice", "pad", "concat",
-    "bias_add", "softmax", "layernorm", "gelu", "cross_entropy",
+    "affine", "softmax", "layernorm", "gelu", "cross_entropy",
 ])
 def test_primitive_gradients(case):
     rng = np.random.default_rng(hash(case) % 2**32)
@@ -109,9 +109,9 @@ def test_primitive_gradients(case):
         cc = ad.Tensor(rng.uniform(-1, 1, (3, 6)))
         p = {"a": _rand(rng, 3, 4), "b": _rand(rng, 3, 2)}
         fn = lambda q: ad.tsum(ad.mul(ad.concat([q["a"], q["b"]], axis=1), cc))
-    elif case == "bias_add":
-        p = {"a": _rand(rng, 3, 4), "b": _rand(rng, 4)}
-        fn = lambda q: ad.tsum(ad.mul(ad.bias_add(q["a"], q["b"]), c))
+    elif case == "affine":
+        p = {"x": _rand(rng, 3, 5), "w": _rand(rng, 5, 4), "b": _rand(rng, 4)}
+        fn = lambda q: ad.tsum(ad.mul(ad.affine(q["x"], q["w"], q["b"]), c))
     elif case == "softmax":
         p = {"a": _rand(rng, 3, 4)}
         fn = lambda q: ad.tsum(ad.mul(ad.softmax_last(q["a"]), c))
@@ -184,6 +184,10 @@ def test_shape_errors():
         ad.add(a, b)
     with pytest.raises(ad.ShapeError):
         ad.matmul(a, ad.Tensor(np.ones((2, 2))))
+    for x, w, bias in [(a, b, np.ones(3)), (a, b, np.ones((1, 2))), (a, a, np.ones(3)),
+                       (ad.Tensor(np.ones((1, 2, 3))), b, np.ones(2))]:
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, w, ad.Tensor(bias))
 
 
 # ---------------------------------------------------------------------------

@@ -369,14 +369,44 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 def test_sweep_failure_preserves_partial_csv(tmp_path):
-    cfg = parse_config(small_config(tmp_path))
+    cfg = parse_config(small_config(tmp_path, prune={"method": "random", "s": 0.99,
+                                                     "seed": 0}))
     out = str(tmp_path / "sweep")
-    with pytest.raises(ValueError):
-        # second point is invalid (r >= d_model) and must abort the sweep
-        cmd_sweep(cfg, "large-sparse", ["1", "4"], out, seeds=1, workers=1)
+    with pytest.raises(ValueError, match="infeasible"):
+        # a valid config whose second job fails at run time: Erdos-Renyi keeps
+        # at least one weight in each of the 8 groups of 64, so not s = 0.99
+        cmd_sweep(cfg, "method", ["random", "er"], out, seeds=1, workers=1)
     text = open(os.path.join(out, "sweep.csv")).read()
     assert "# aborted" in text
     assert text.splitlines()[0].startswith("method,")
+    assert [r["method"] for r in read_sweep(os.path.join(out, "sweep.csv"))[1]] == \
+        ["random"]
+
+
+@pytest.mark.parametrize("axis,values", [("sparsity", "0.2,1.5"),
+                                         ("large-sparse", "1,2,4")])
+def test_sweep_bad_point_stops_before_any_job(tmp_path, capsys, axis, values):
+    # 1.5 is no sparsity; k=4 takes r=4 to 16, which is not < d_model=16
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", axis,
+                 "--values", values, "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep value ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
+                                        ("--workers", "0")])
+def test_sweep_seeds_and_workers_must_be_positive(tmp_path, capsys, flag, value):
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    counts = ["--seeds", "1", "--workers", "1"]
+    counts[counts.index(flag) + 1] = value
+    assert main(["sweep", "--config", config, "--out", out, "--sweep-axis",
+                 "sparsity", "--values", "0.4", *counts]) == 1
+    assert capsys.readouterr().err.startswith("error: --seeds and --workers must be >= 1")
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
 def test_sweep_kept_fraction_tracks_sparsity(tmp_path):

@@ -2,6 +2,8 @@
 percentile threshold with pinned tie-breaking, mask application, mask file
 round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,51 @@ def test_grasp_matches_fd_of_gradients_on_mlp():
     for name in params:
         assert np.allclose(scores.scores[name],
                            params[name].data * hv[name].data, rtol=1e-10)
+
+
+def summed_loss_grasp(model, batches):
+    """GraSP's w * H g from one double-backward graph over the summed loss of
+    all batches, the direct form of the definition."""
+    params = {n: g.tensor for n, g in model.prunable_groups().items()}
+    grads = {n: np.zeros(t.shape) for n, t in params.items()}
+    for tokens, labels in batches:
+        for n, g in ad.backward(model.loss(tokens, labels), params).items():
+            grads[n] += g.data
+
+    def summed_loss(p):
+        total = None
+        for tokens, labels in batches:
+            term = model.loss(tokens, labels)
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    h = ad.hvp(summed_loss, params, {n: Tensor(g) for n, g in grads.items()})
+    return {n: params[n].data * h[n].data for n in params}
+
+
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_grasp_matches_summed_loss_hvp(variant):
+    m = adapter_model(variant=variant)
+    batches = [one_batch(m, seed=k) for k in range(3)]
+    expected = summed_loss_grasp(m, batches)
+    scores = score_grasp(m, batches)
+    for name in expected:
+        assert np.allclose(scores.scores[name], expected[name], rtol=1e-12, atol=0), name
+
+
+def test_grasp_memory_does_not_grow_with_score_batches():
+    m = adapter_model()
+    batches = [one_batch(m, seed=k, batch=16) for k in range(4)]
+
+    def peak(batches):
+        tracemalloc.start()
+        try:
+            score_grasp(m, batches)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(batches) < 1.5 * peak(batches[:1])
 
 
 # ---------------------------------------------------------------------------
