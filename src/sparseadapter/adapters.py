@@ -119,19 +119,14 @@ class LoraProjection:
 class PrefixSite:
     """Learned prefix key/value rows prepended to a layer's attention."""
 
-    def __init__(self, key: Tensor, value: Tensor, n_heads: int, d_model: int):
+    def __init__(self, key: Tensor, value: Tensor, n_heads: int):
         self.key = key
         self.value = value
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
-        self.prefix_len = key.shape[0]
 
     def _heads(self, t: Tensor, bsz: int) -> Tensor:
-        p = ad.permute(ad.reshape(t, (self.prefix_len, self.n_heads, self.d_head)),
-                       (1, 0, 2))
-        return ad.broadcast_to(ad.reshape(p, (1, self.n_heads, self.prefix_len,
-                                              self.d_head)),
-                               (bsz, self.n_heads, self.prefix_len, self.d_head))
+        p = ad.permute(ad.reshape(t, (1, t.shape[0], self.n_heads, -1)), (0, 2, 1, 3))
+        return ad.broadcast_to(p, (bsz,) + p.shape[1:])
 
     def key_heads(self, bsz: int) -> Tensor:
         return self._heads(self.key, bsz)
@@ -198,7 +193,7 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
                                              (spec.prefix_len, model.cfg.d_model)),
                                   adapter=True)
             model.adapter_sites[f"{pre}.attn.prefix"] = PrefixSite(
-                key.tensor, val.tensor, model.cfg.n_heads, model.cfg.d_model)
+                key.tensor, val.tensor, model.cfg.n_heads)
     model.adapter_spec = spec
 
 

@@ -192,6 +192,7 @@ class _Arrays:
     tanh = np.tanh
     concat = np.concatenate
     powc = _pow_data
+    take_rows = np.ndarray.__getitem__      # take_rows(w, idx) is w[idx]
 
     def swap_last2(a):
         return np.swapaxes(a, -1, -2)
@@ -233,6 +234,24 @@ class _Arrays:
 
     def gelu(x):
         return 0.5 * x * (1.0 + np.tanh(GELU_C0 * (x + GELU_C1 * _pow_data(x, 3.0))))
+
+    def attention(q, k, v, bsz, n_heads, prefix=()):
+        _, _, v4, p = _attention_weights(_Arrays, q, k, v, bsz, n_heads, prefix)
+        return np.reshape(np.transpose(np.matmul(p, v4), (0, 2, 1, 3)), q.shape)
+
+
+def _split_heads(ops, x, bsz: int, n_heads: int):
+    return ops.permute(ops.reshape(x, (bsz, -1, n_heads, x.shape[1] // n_heads)), (0, 2, 1, 3))
+
+
+def _attention_weights(ops, q, k, v, bsz: int, n_heads: int, prefix):
+    """Heads of q, k and v (prefix rows first in k and v) and the softmax weights."""
+    q4, k4, v4 = (_split_heads(ops, x, bsz, n_heads) for x in (q, k, v))
+    if prefix:
+        k4 = ops.concat([prefix[0], k4], 2)
+        v4 = ops.concat([prefix[1], v4], 2)
+    scores = ops.scale(ops.matmul(q4, ops.swap_last2(k4)), 1.0 / math.sqrt(q4.shape[-1]))
+    return q4, k4, v4, ops.softmax_last(scores)
 
 
 class _Engine:
@@ -459,10 +478,23 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                     tuple(parts), vjp)
 
 
+def take_rows(w: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows `idx` of a 2-D table, repeats allowed; the vjp onehot(idx)ᵀ @ g is linear."""
+    idx = np.asarray(idx)
+    if w.ndim != 2 or idx.ndim != 1 or idx.size and not 0 <= idx.min() <= idx.max() < len(w.data):
+        raise ShapeError(f"take_rows: {idx.shape} indices into a {w.shape} table")
+
+    def vjp(g, needs, ops):
+        onehot = Tensor((idx[:, None] == np.arange(len(w.data))).astype(np.float64))
+        return (ops.matmul(ops.swap_last2(ops.val(onehot)), g),)
+
+    return _from_op("take_rows", _Arrays.take_rows(w.data, idx), (w,), vjp)
+
+
 # ---------------------------------------------------------------------------
-# Fused ops used by the encoder: affine, softmax, layernorm, gelu,
-# cross-entropy. Each is one node with one output buffer, computed by a single
-# numpy chain; every vjp is still expressed in ops, so hvp stays exact.
+# Fused ops used by the encoder: affine, softmax, attention, layernorm, gelu,
+# cross-entropy. Each is one node whose value comes from one `_Arrays` chain;
+# every vjp is still expressed in ops, so hvp stays exact.
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -486,14 +518,52 @@ def softmax_last(x: Tensor) -> Tensor:
     differentiable for free.
     """
     def vjp(g, needs, ops):
-        out = ops.val(out_ref())
-        gp = ops.mul(g, out)
-        return (ops.sub(gp, ops.mul(out, ops.broadcast_to(
-            ops.tsum(gp, axes=(-1,), keepdims=True), out.shape))),)
+        return (_softmax_vjp(ops, g, ops.val(out_ref())),)
 
     out = _from_op("softmax", _Arrays.softmax_last(x.data), (x,), vjp)
     out_ref = weakref.ref(out)
     return out
+
+
+def _softmax_vjp(ops, g, p):
+    gp = ops.mul(g, p)
+    return ops.sub(gp, ops.mul(p, ops.broadcast_to(
+        ops.tsum(gp, axes=(-1,), keepdims=True), p.shape)))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bsz: int, n_heads: int,
+              prefix: Sequence[Tensor] = ()) -> Tensor:
+    """Multi-head softmax attention of (rows, d) projections, rows = bsz * seq; `prefix`
+    is () or a (key, value) pair of (bsz, n_heads, P, d_head) rows attended to first.
+    The vjp recomputes the softmax weights from q and k, as FlashAttention does."""
+    prefix = tuple(prefix)
+    n_pre = prefix[0].shape[2] if prefix and prefix[0].ndim == 4 else 0
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[0] % bsz \
+            or q.shape[1] % n_heads or len(prefix) not in (0, 2) or any(
+                t.shape != (bsz, n_heads, n_pre, q.shape[1] // n_heads) for t in prefix):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, prefix "
+                         f"{[t.shape for t in prefix]}, {bsz} sequences, {n_heads} heads")
+
+    def vjp(g, needs, ops):
+        q4, k4, v4, p = _attention_weights(ops, ops.val(q), ops.val(k), ops.val(v), bsz,
+                                           n_heads, [ops.val(t) for t in prefix])
+        g4 = _split_heads(ops, g, bsz, n_heads)
+        want = (needs[0], needs[1] or any(needs[3:4]), needs[2] or any(needs[4:]))
+        if want[0] or want[1]:      # back through softmax and the 1/sqrt(d_head) scale
+            gs = ops.scale(_softmax_vjp(ops, ops.matmul(g4, ops.swap_last2(v4)), p),
+                           1.0 / math.sqrt(g4.shape[-1]))
+        g4s = (ops.matmul(gs, k4) if want[0] else None,
+               ops.swap_last2(ops.matmul(ops.swap_last2(q4), gs)) if want[1] else None,
+               ops.matmul(ops.swap_last2(p), g4) if want[2] else None)
+        # k and v hold the prefix rows first
+        grads = tuple(ops.reshape(ops.permute(ops.slice_axis(g, 2, n_pre, n_pre + q4.shape[2])
+                                              if i and prefix else g, (0, 2, 1, 3)), q.shape)
+                      if needs[i] else None for i, g in enumerate(g4s))
+        return grads + tuple(ops.slice_axis(g4s[i], 2, 0, n_pre) if needs[i + 2] else None
+                             for i in (1, 2) if prefix)
+
+    value = _Arrays.attention(q.data, k.data, v.data, bsz, n_heads, [t.data for t in prefix])
+    return _from_op("attention", value, (q, k, v) + prefix, vjp)
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:

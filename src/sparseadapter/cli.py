@@ -328,11 +328,13 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
     if seeds < 1 or workers < 1:
         raise ValueError(f"--seeds and --workers must be >= 1, got {seeds} and {workers}")
     points = _sweep_points(cfg, axis, values)
-    for v, point in zip(values, points):     # every point checked before any job runs
+    for i, (v, point) in enumerate(zip(values, points)):  # all before any job runs
         try:
             parse_config(dataclasses.asdict(point))
         except ValueError as exc:
             raise ValueError(f"sweep value {v!r}: {exc}") from None
+        if point in points[:i]:     # its runs would count as extra seeds of one point
+            raise ValueError(f"sweep value {v!r}: repeats an earlier point")
     jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -145,8 +145,12 @@ def read_jsonl(path: str) -> Split:
                 continue
             try:
                 rec = json.loads(line)
-                tokens.append([int(t) for t in rec["tokens"]])
-                labels.append(int(rec["label"]))
+                # exact types as for config values (a bool is no int), and int64 range
+                if type(rec["tokens"]) is not list or not all(
+                        type(t) is int and abs(t) < 2**63 for t in rec["tokens"] + [rec["label"]]):
+                    raise ValueError("tokens must be a list of ints and label an int")
+                tokens.append(rec["tokens"])
+                labels.append(rec["label"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     if not tokens:

@@ -1,10 +1,10 @@
 """Miniature transformer encoder with named, freezable parameter groups.
 
-The encoder is a pre-layer-norm classifier stand-in for a big pretrained
-backbone: token + position embeddings, a stack of attention/FFN blocks, a
-final norm, mean pooling, and a linear head. Adapter machinery hooks in at
-three points per layer (attention q/v projections, post-attention output,
-post-FFN output) through ``adapter_sites``.
+A pre-layer-norm classifier stands in for a big pretrained backbone: token +
+position embeddings (`take_rows`), attention (one fused op) and FFN blocks on
+a (batch * seq, d) residual stream, a final norm, mean pooling, a linear head.
+Adapters hook in through ``adapter_sites``: q/v projections (lora), prefix
+keys/values (mam), after attention (houlsby) and at the FFN (houlsby, pfeiffer, mam).
 """
 
 from __future__ import annotations
@@ -122,60 +122,25 @@ class Model:
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id outside [0, vocab_size)")
 
-        d, heads = cfg.d_model, cfg.n_heads
-        dh = d // heads
-        rows = bsz * seq
-
-        w_tok = self.param("embed.tokens")
-        w_pos = self.param("embed.positions")
-        if w_tok.requires_grad or w_pos.requires_grad:
-            # One-hot matmuls keep the lookup on the double-differentiable
-            # primitive set while the embeddings are trainable.
-            tok_oh = np.zeros((rows, cfg.vocab_size))
-            tok_oh[np.arange(rows), tokens.reshape(-1)] = 1.0
-            pos_oh = np.zeros((seq, cfg.max_seq_len))
-            pos_oh[np.arange(seq), np.arange(seq)] = 1.0
-            x2 = ad.matmul(Tensor(tok_oh), w_tok)
-            pos = ad.matmul(Tensor(pos_oh), w_pos)
-            x3 = ad.add(ad.reshape(x2, (bsz, seq, d)),
-                        ad.broadcast_to(ad.reshape(pos, (1, seq, d)), (bsz, seq, d)))
-        else:
-            # Frozen embeddings enter the graph as one constant activation.
-            x3 = Tensor(w_tok.data[tokens.reshape(-1)].reshape(bsz, seq, d)
-                        + w_pos.data[:seq][None, :, :])
-
+        x = ad.add(ad.take_rows(self.param("embed.tokens"), tokens.reshape(-1)),
+                   ad.take_rows(self.param("embed.positions"), np.tile(np.arange(seq), bsz)))
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
-            h2 = ad.reshape(x3, (rows, d))
-            ln1 = ad.layer_norm(h2, self.param(f"{pre}.attn.ln.gamma"),
+            ln1 = ad.layer_norm(x, self.param(f"{pre}.attn.ln.gamma"),
                                 self.param(f"{pre}.attn.ln.beta"))
-
-            q = self._project(ln1, f"{pre}.attn.q")
-            k = self._project(ln1, f"{pre}.attn.k")
-            v = self._project(ln1, f"{pre}.attn.v")
-
-            q4 = ad.permute(ad.reshape(q, (bsz, seq, heads, dh)), (0, 2, 1, 3))
-            k4 = ad.permute(ad.reshape(k, (bsz, seq, heads, dh)), (0, 2, 1, 3))
-            v4 = ad.permute(ad.reshape(v, (bsz, seq, heads, dh)), (0, 2, 1, 3))
-
-            prefix = self.adapter_sites.get(f"{pre}.attn.prefix")
-            if prefix is not None:
-                k4 = ad.concat([prefix.key_heads(bsz), k4], axis=2)
-                v4 = ad.concat([prefix.value_heads(bsz), v4], axis=2)
-
-            scores = ad.scale(ad.matmul(q4, ad.swap_last2(k4)), 1.0 / math.sqrt(dh))
-            ctx = ad.matmul(ad.softmax_last(scores), v4)
-            ctx2 = ad.reshape(ad.permute(ctx, (0, 2, 1, 3)), (rows, d))
-            attn_out = ad.affine(ctx2, self.param(f"{pre}.attn.o.weight"),
+            q, k, v = (self._project(ln1, f"{pre}.attn.{proj}") for proj in "qkv")
+            site = self.adapter_sites.get(f"{pre}.attn.prefix")
+            kv = () if site is None else (site.key_heads(bsz), site.value_heads(bsz))
+            attn_out = ad.affine(ad.attention(q, k, v, bsz, cfg.n_heads, kv),
+                                 self.param(f"{pre}.attn.o.weight"),
                                  self.param(f"{pre}.attn.o.bias"))
 
             site = self.adapter_sites.get(f"{pre}.attn.adapter")
             if site is not None:
                 attn_out = site(attn_out)
-            x3 = ad.add(x3, ad.reshape(attn_out, (bsz, seq, d)))
+            x = ad.add(x, attn_out)
 
-            h2 = ad.reshape(x3, (rows, d))
-            ln2 = ad.layer_norm(h2, self.param(f"{pre}.ffn.ln.gamma"),
+            ln2 = ad.layer_norm(x, self.param(f"{pre}.ffn.ln.gamma"),
                                 self.param(f"{pre}.ffn.ln.beta"))
             ffn = ad.affine(ad.gelu(ad.affine(ln2, self.param(f"{pre}.ffn.fc1.weight"),
                                               self.param(f"{pre}.ffn.fc1.bias"))),
@@ -189,11 +154,10 @@ class Model:
                 out = ad.add(ffn, site.delta(ln2))
             else:
                 out = site(ffn)
-            x3 = ad.add(x3, ad.reshape(out, (bsz, seq, d)))
+            x = ad.add(x, out)
 
-        hf = ad.layer_norm(ad.reshape(x3, (rows, d)),
-                           self.param("final_ln.gamma"), self.param("final_ln.beta"))
-        pooled = ad.scale(ad.tsum(ad.reshape(hf, (bsz, seq, d)), axes=(1,)), 1.0 / seq)
+        hf = ad.layer_norm(x, self.param("final_ln.gamma"), self.param("final_ln.beta"))
+        pooled = ad.scale(ad.tsum(ad.reshape(hf, (bsz, seq, -1)), axes=(1,)), 1.0 / seq)
         return ad.affine(pooled, self.param("head.weight"), self.param("head.bias"))
 
     def _project(self, x2: Tensor, name: str) -> Tensor:

@@ -2,9 +2,12 @@
 
 Everything here is deliberately straight-line numpy: central finite
 differences for gradients, finite differences of gradients for Hessian-vector
-products, a textbook AdamW update, and a random-small-network factory. None
-of it reuses the code paths under test.
+products, a textbook AdamW update, a random-small-network factory, and the
+encoder forward pass composed of separate engine ops. None of it reuses the
+code paths under test.
 """
+
+import math
 
 import numpy as np
 
@@ -116,3 +119,65 @@ def random_small_net(rng, with_softmax=True):
         return ad.tsum(ad.mul(h, h))
 
     return loss_fn, params
+
+
+def composed_forward(model, tokens):
+    """The encoder forward pass as separate engine ops: a one-hot matmul
+    embedding, a (bsz, seq, d) residual stream and attention as the 13 ops
+    from head split to head merge. `Model.forward` fuses these into
+    `take_rows` and `attention`, and must give the same bits."""
+    cfg = model.cfg
+    tokens = np.asarray(tokens)
+    bsz, seq = tokens.shape
+    d, heads = cfg.d_model, cfg.n_heads
+    dh = d // heads
+    rows = bsz * seq
+    tok_oh = np.zeros((rows, cfg.vocab_size))
+    tok_oh[np.arange(rows), tokens.reshape(-1)] = 1.0
+    pos_oh = np.zeros((seq, cfg.max_seq_len))
+    pos_oh[np.arange(seq), np.arange(seq)] = 1.0
+    x2 = ad.matmul(ad.Tensor(tok_oh), model.param("embed.tokens"))
+    pos = ad.matmul(ad.Tensor(pos_oh), model.param("embed.positions"))
+    x3 = ad.add(ad.reshape(x2, (bsz, seq, d)),
+                ad.broadcast_to(ad.reshape(pos, (1, seq, d)), (bsz, seq, d)))
+
+    def heads4(t):
+        return ad.permute(ad.reshape(t, (bsz, seq, heads, dh)), (0, 2, 1, 3))
+
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}"
+        ln1 = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param(f"{pre}.attn.ln.gamma"),
+                            model.param(f"{pre}.attn.ln.beta"))
+        q4, k4, v4 = (heads4(model._project(ln1, f"{pre}.attn.{p}")) for p in "qkv")
+        prefix = model.adapter_sites.get(f"{pre}.attn.prefix")
+        if prefix is not None:
+            k4 = ad.concat([prefix.key_heads(bsz), k4], axis=2)
+            v4 = ad.concat([prefix.value_heads(bsz), v4], axis=2)
+        scores = ad.scale(ad.matmul(q4, ad.swap_last2(k4)), 1.0 / math.sqrt(dh))
+        ctx = ad.matmul(ad.softmax_last(scores), v4)
+        attn_out = ad.affine(ad.reshape(ad.permute(ctx, (0, 2, 1, 3)), (rows, d)),
+                             model.param(f"{pre}.attn.o.weight"),
+                             model.param(f"{pre}.attn.o.bias"))
+        site = model.adapter_sites.get(f"{pre}.attn.adapter")
+        if site is not None:
+            attn_out = site(attn_out)
+        x3 = ad.add(x3, ad.reshape(attn_out, (bsz, seq, d)))
+
+        ln2 = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param(f"{pre}.ffn.ln.gamma"),
+                            model.param(f"{pre}.ffn.ln.beta"))
+        ffn = ad.affine(ad.gelu(ad.affine(ln2, model.param(f"{pre}.ffn.fc1.weight"),
+                                          model.param(f"{pre}.ffn.fc1.bias"))),
+                        model.param(f"{pre}.ffn.fc2.weight"), model.param(f"{pre}.ffn.fc2.bias"))
+        site = model.adapter_sites.get(f"{pre}.ffn.adapter")
+        if site is None:
+            out = ffn
+        elif site.parallel:
+            out = ad.add(ffn, site.delta(ln2))
+        else:
+            out = site(ffn)
+        x3 = ad.add(x3, ad.reshape(out, (bsz, seq, d)))
+
+    hf = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param("final_ln.gamma"),
+                       model.param("final_ln.beta"))
+    pooled = ad.scale(ad.tsum(ad.reshape(hf, (bsz, seq, d)), axes=(1,)), 1.0 / seq)
+    return ad.affine(pooled, model.param("head.weight"), model.param("head.bias"))

@@ -3,6 +3,7 @@ contracts, the two vjp backends, tape topology, determinism."""
 
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import sparseadapter.autodiff as ad
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
 from sparseadapter.pruning import score_grasp
-from oracles import fd_gradient, fd_hvp, random_small_net, rel_err
+from oracles import composed_forward, fd_gradient, fd_hvp, random_small_net, rel_err
 
 
 def check_grad(loss_fn, params, tol=1e-6, eps=1e-5):
@@ -33,10 +34,11 @@ def _rand(rng, *shape):
     "add", "mul", "neg", "scale", "add_scalar", "matmul", "batched_matmul",
     "swap", "permute", "reshape", "sum_all", "sum_axis", "broadcast", "tanh",
     "pow2", "pow_neg", "relu", "slice", "pad", "concat",
-    "affine", "softmax", "layernorm", "gelu", "cross_entropy",
+    "affine", "softmax", "layernorm", "gelu", "cross_entropy", "take_rows",
+    "attention", "attention_prefix",
 ])
 def test_primitive_gradients(case):
-    rng = np.random.default_rng(hash(case) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
     c = ad.Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
 
     if case == "add":
@@ -127,6 +129,18 @@ def test_primitive_gradients(case):
         labels = rng.integers(0, 4, 3)
         p = {"a": _rand(rng, 3, 4)}
         fn = lambda q: ad.cross_entropy_logits(q["a"], labels)
+    elif case == "take_rows":
+        cc = ad.Tensor(rng.uniform(-1, 1, (6, 4)))
+        p = {"w": _rand(rng, 5, 4)}
+        fn = lambda q: ad.tsum(ad.mul(ad.take_rows(q["w"], np.array([3, 0, 3, 1, 3, 0])), cc))
+    elif case.startswith("attention"):
+        # 2 sequences of 3 rows, 2 heads of width 2, and 3 prefix rows per head
+        cc = ad.Tensor(rng.uniform(-1, 1, (6, 4)))
+        p = {n: _rand(rng, 6, 4) for n in "qkv"}
+        if case == "attention_prefix":
+            p.update(pk=_rand(rng, 2, 2, 3, 2), pv=_rand(rng, 2, 2, 3, 2))
+        fn = lambda q: ad.tsum(ad.mul(ad.attention(
+            q["q"], q["k"], q["v"], 2, 2, [q[n] for n in ("pk", "pv") if n in q]), cc))
     else:
         raise AssertionError(case)
 
@@ -188,6 +202,22 @@ def test_shape_errors():
                        (ad.Tensor(np.ones((1, 2, 3))), b, np.ones(2))]:
         with pytest.raises(ad.ShapeError):
             ad.affine(x, w, ad.Tensor(bias))
+    x = ad.Tensor(np.ones((6, 4)))
+    pre = ad.Tensor(np.ones((2, 2, 3, 2)))
+    for q, k, bsz, heads, prefix in [
+            (x, ad.Tensor(np.ones((6, 2))), 2, 2, ()),      # k differs from q
+            (x, x, 4, 2, ()),                               # rows not bsz * seq
+            (x, x, 2, 3, ()),                               # d not n_heads * d_head
+            (ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((2, 3, 4))), 2, 2, ()),
+            (x, x, 2, 2, (pre,)),                           # prefix without values
+            (x, x, 2, 2, (pre, ad.Tensor(np.ones((2, 2, 4, 2))))),  # prefix lengths differ
+            (x, x, 2, 2, (ad.Tensor(np.ones((1, 2, 3, 2))),) * 2),  # prefix for 1 sequence
+            (x, x, 2, 2, (ad.Tensor(np.ones((2, 2, 3))),) * 2)]:    # prefix not 4-D
+        with pytest.raises(ad.ShapeError):
+            ad.attention(q, k, k, bsz, heads, prefix)
+    for w, idx in [(x, [0, 6]), (x, [-1]), (x, [[0]]), (ad.Tensor(np.ones(4)), [0])]:
+        with pytest.raises(ad.ShapeError):
+            ad.take_rows(w, np.array(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +322,35 @@ def test_array_backend_matches_engine_bitwise(variant, frozen):
     assert plain.keys() == graph.keys()
     for name in params:
         assert plain[name].data.tobytes() == graph[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_fused_encoder_matches_composed_ops_bitwise(variant, frozen):
+    # take_rows and attention against the one-hot matmul and the 13 ops they replace
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    tokens, labels = _batch(47)
+    fused, composed = m.forward(tokens), composed_forward(m, tokens)
+    assert fused.data.tobytes() == composed.data.tobytes()
+    got = ad.backward(ad.cross_entropy_logits(fused, labels), params)
+    want = ad.backward(ad.cross_entropy_logits(composed, labels), params)
+    for name in params:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+
+
+def test_hvp_through_mam_encoder_matches_fd():
+    # prefix rows, parallel adapters and the attention vjp's recompute, twice differentiated
+    m = _encoder("mam", True)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    tokens, labels = _batch(53)
+    rng = np.random.default_rng(59)
+    v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
+    loss_fn = lambda p: m.loss(tokens, labels)
+    hv = ad.hvp(loss_fn, params, v)
+    fd = fd_hvp(loss_fn, params, v)
+    for k in params:
+        assert rel_err(hv[k].data, fd[k]) < 1e-4, k
 
 
 def test_grasp_scores_match_engine_bitwise(monkeypatch):

@@ -384,9 +384,13 @@ def test_sweep_failure_preserves_partial_csv(tmp_path):
 
 
 @pytest.mark.parametrize("axis,values", [("sparsity", "0.2,1.5"),
-                                         ("large-sparse", "1,2,4")])
+                                         ("large-sparse", "1,2,4"),
+                                         ("sparsity", "0.4,0.40"),
+                                         ("method", "snip,random,snip"),
+                                         ("large-sparse", "2,2")])
 def test_sweep_bad_point_stops_before_any_job(tmp_path, capsys, axis, values):
-    # 1.5 is no sparsity; k=4 takes r=4 to 16, which is not < d_model=16
+    # 1.5 is no sparsity; k=4 takes r=4 to 16, which is not < d_model=16; a
+    # repeated point would run one config twice and report it as two seeds
     config = write_config(tmp_path)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", axis,

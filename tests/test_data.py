@@ -128,6 +128,21 @@ def test_bad_records_rejected(tmp_path):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("record", [
+    '{"tokens": "12", "label": 0}', '{"tokens": [1, 2], "label": true}',
+    '{"tokens": [1, 2.5], "label": 0}', '{"tokens": [1, 2], "label": 7.9}',
+    '{"tokens": [1, false], "label": 0}', '{"tokens": [1, 1e400], "label": 0}',
+    '{"tokens": [1, 99999999999999999999], "label": 0}', '[1, 2]'])
+def test_records_of_the_wrong_type_rejected(tmp_path, record):
+    # no string, bool or float is read as an int, and an int past int64 is no traceback
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w") as f:
+        f.write('{"tokens": [1, 2], "label": 0}\n')
+        f.write(record + "\n")
+    with pytest.raises(ValueError, match="bad.jsonl:2: bad dataset record"):
+        read_jsonl(path)
+
+
 def test_inconsistent_lengths_rejected(tmp_path):
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as f:

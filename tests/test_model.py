@@ -114,7 +114,7 @@ def test_logit_finiteness_many_batches():
 
 
 def test_embedding_lookup_paths_agree():
-    # frozen fast path vs trainable one-hot matmul path
+    # trainable and frozen embeddings share one take_rows path; the values agree
     m = small_model(5)
     rng = np.random.default_rng(5)
     tokens = rand_tokens(rng, 2, 6)
