@@ -24,7 +24,7 @@ from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters
 from .autodiff import NumericError
 from .data import SyntheticTaskSpec, TaskData, generate, load_dir
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
-    load_checkpoint
+    load_checkpoint, save_checkpoint
 from .pruning import apply_mask, compute_mask, load_mask, save_mask
 from .training import OptimizerConfig, evaluate, train
 
@@ -219,8 +219,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> dic
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         f.write(serialize_config(cfg))
-    metrics = train(model, dataset, cfg.optimizer,
-                    checkpoint_path=os.path.join(out_dir, "checkpoint.sacp"))
+    metrics = train(model, dataset, cfg.optimizer)
+    save_checkpoint(model, os.path.join(out_dir, "checkpoint.sacp"))
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.to_csv())
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:

@@ -240,6 +240,7 @@ class _Reader:
         self.view = memoryview(blob)
         self.kind = kind
         self.off = 0
+        self.names: set[str] = set()
 
     def take(self, n: int, what: str) -> memoryview:
         end = self.off + n
@@ -258,6 +259,14 @@ class _Reader:
         """A UTF-8 string after a length field of format `len_fmt`."""
         (n,) = self.fields(len_fmt, f"{what} length")
         return str(self.take(n, what), "utf-8")
+
+    def group_name(self) -> str:
+        """The next group's name, which no earlier group of the file may have."""
+        name = self.text("H", "group name")
+        if name in self.names:
+            raise ValueError(f"repeated group '{name}' in {self.kind} file")
+        self.names.add(name)
+        return name
 
     def header(self, magic: bytes, version: int) -> None:
         got, ver = self.fields("4sB", "header")
@@ -280,7 +289,7 @@ def read_checkpoint(path: str) -> dict[str, tuple[np.ndarray, bool]]:
     (count,) = r.fields("I", "group count")
     out: dict[str, tuple[np.ndarray, bool]] = {}
     for _ in range(count):
-        name = r.text("H", "group name")
+        name = r.group_name()
         (ndim,) = r.fields("B", f"rank of group '{name}'")
         shape = r.fields(f"{ndim}I", f"shape of group '{name}'")
         (trainable,) = r.fields("B", f"trainable flag of group '{name}'")

@@ -59,7 +59,6 @@ class PruneMask:
     method: str
     s: float
     seed: int | None
-    threshold: float | None
     masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -215,7 +214,7 @@ def score_er(model: Model, s_global: float, seed: int) -> PruneMask:
         flat = np.zeros(size, dtype=bool)
         flat[rng.permutation(size)[:kept]] = True
         masks[name] = flat.reshape(weights[name].shape)
-    return PruneMask("er", float(s_global), seed, None, masks)
+    return PruneMask("er", float(s_global), seed, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,6 @@ def prune_by_percentile(scores: ScoreMap, s: float, seed: int | None = None) -> 
     keep_idx = order[:kept]
     keep = np.zeros(flat.size, dtype=bool)
     keep[keep_idx] = True
-    threshold = float(flat[keep_idx[-1]]) if kept > 0 else float("inf")
 
     masks: dict[str, np.ndarray] = {}
     off = 0
@@ -244,7 +242,7 @@ def prune_by_percentile(scores: ScoreMap, s: float, seed: int | None = None) -> 
         size = scores.scores[n].size
         masks[n] = keep[off:off + size].reshape(scores.scores[n].shape)
         off += size
-    return PruneMask(scores.method, float(s), seed, threshold, masks)
+    return PruneMask(scores.method, float(s), seed, masks)
 
 
 def apply_mask(model: Model, mask: PruneMask) -> None:
@@ -270,8 +268,7 @@ def apply_mask(model: Model, mask: PruneMask) -> None:
 
 
 def compute_mask(model: Model, method: str, s: float, seed: int,
-                 batches: Sequence = (), loss_fn: Callable = _default_loss,
-                 snip_abs: bool = False) -> PruneMask:
+                 batches: Sequence = (), snip_abs: bool = False) -> PruneMask:
     """Method dispatch used by the CLI and sweeps."""
     # overflow warnings are redundant here: ScoreMap rejects non-finite scores
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -280,10 +277,10 @@ def compute_mask(model: Model, method: str, s: float, seed: int,
         if method == "magnitude":
             return prune_by_percentile(score_magnitude(model), s, seed)
         if method == "snip":
-            return prune_by_percentile(score_snip(model, batches, loss_fn, snip_abs),
+            return prune_by_percentile(score_snip(model, batches, snip_abs=snip_abs),
                                        s, seed)
         if method == "grasp":
-            return prune_by_percentile(score_grasp(model, batches, loss_fn), s, seed)
+            return prune_by_percentile(score_grasp(model, batches), s, seed)
         if method == "er":
             return score_er(model, s, seed)
     raise ValueError(f"unknown pruning method '{method}'")
@@ -291,7 +288,8 @@ def compute_mask(model: Model, method: str, s: float, seed: int,
 
 # ---------------------------------------------------------------------------
 # Mask file: "SADM" magic, version, method tag, s, seed, then per group the
-# name, element count, and the little-endian bit-packed mask.
+# name, element count, and the little-endian bit-packed mask, whose padding
+# bits are zero so that a load and a save give back the same bytes.
 # ---------------------------------------------------------------------------
 
 def save_mask(mask: PruneMask, path: str) -> None:
@@ -322,10 +320,12 @@ def load_mask(path: str) -> PruneMask:
     s, seed, count = r.fields("dqI", "mask header fields")
     masks: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.text("H", "group name")
+        name = r.group_name()
         (size,) = r.fields("Q", f"element count of group '{name}'")
         packed = r.take((size + 7) // 8, f"bitmap of group '{name}'")
+        if size % 8 and packed[-1] >> size % 8:
+            raise ValueError(f"padding bits set in bitmap of group '{name}'")
         masks[name] = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size,
                                     bitorder="little").astype(bool)
     r.done()
-    return PruneMask(method, float(s), None if seed == -1 else int(seed), None, masks)
+    return PruneMask(method, float(s), None if seed == -1 else int(seed), masks)

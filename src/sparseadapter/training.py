@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .adapters import trainable_param_report
-from .model import Model, save_checkpoint
+from .model import Model
 from .pruning import PruneMask, apply_mask
 
 ADAM_EPS = 1e-8
@@ -200,8 +200,7 @@ def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,
 
 
 def train(model: Model, dataset, cfg: OptimizerConfig,
-          mask: PruneMask | None = None, checkpoint_path: str | None = None,
-          evals_per_epoch: int = 2) -> RunMetrics:
+          mask: PruneMask | None = None, evals_per_epoch: int = 2) -> RunMetrics:
     """Fine-tune the trainable groups; deterministic in cfg.seed.
 
     The model is expected to be frozen via freeze_backbone (adapters + head
@@ -260,6 +259,4 @@ def train(model: Model, dataset, cfg: OptimizerConfig,
                                                       lr, kept_fraction))
             except ad.NumericError as exc:
                 raise TrainingDiverged(step, exc) from exc
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path)
     return metrics

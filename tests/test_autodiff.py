@@ -369,10 +369,8 @@ def test_grasp_scores_match_engine_bitwise(monkeypatch):
         assert plain.scores[name].tobytes() == engine.scores[name].tobytes(), name
 
 
-def test_first_order_backward_builds_no_engine_op(monkeypatch):
-    m = _encoder("mam", True)
-    params = {n: g.tensor for n, g in m.trainable_groups().items()}
-    loss = m.loss(*_batch(43))
+def _count_engine_ops(monkeypatch) -> list:
+    """From here on, the name of every engine op made, in order."""
     calls = []
     from_op = ad._from_op
 
@@ -381,13 +379,21 @@ def test_first_order_backward_builds_no_engine_op(monkeypatch):
         return from_op(*args)
 
     monkeypatch.setattr(ad, "_from_op", counting)
+    return calls
+
+
+def test_first_order_backward_builds_no_engine_op(monkeypatch):
+    m = _encoder("mam", True)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    loss = m.loss(*_batch(43))
+    calls = _count_engine_ops(monkeypatch)
     ad.backward(loss, params)
     assert calls == []
     ad.backward(loss, params, create_graph=True)
     assert calls
 
 
-def test_overflow_that_comes_back_finite_still_raises():
+def _layer_norm_overflowing_in_its_vjp():
     # xc * xc overflows to inf in the vjp, and inf ** -0.5 turns it into 0:
     # every gradient would be finite, and wrong
     x = ad.Tensor(np.array([[1e160, -1e160, 3e159, 0.0]]), requires_grad=True)
@@ -395,9 +401,25 @@ def test_overflow_that_comes_back_finite_still_raises():
     beta = ad.Tensor(np.zeros(4), requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         loss = ad.tsum(ad.layer_norm(x, gamma, beta))
-        assert np.isfinite(loss.data)
-        with pytest.raises(ad.NumericError, match="'mul'"):
-            ad.backward(loss, {"x": x, "gamma": gamma, "beta": beta})
+    assert np.isfinite(loss.data)
+    return loss, {"x": x, "gamma": gamma, "beta": beta}
+
+
+def test_overflow_that_comes_back_finite_still_raises():
+    loss, params = _layer_norm_overflowing_in_its_vjp()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(ad.NumericError, match="'layernorm'"):
+            ad.backward(loss, params)
+
+
+def test_failing_first_order_backward_runs_once(monkeypatch):
+    # the one pass over arrays names the op; no engine op runs to find it
+    loss, params = _layer_norm_overflowing_in_its_vjp()
+    calls = _count_engine_ops(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(ad.NumericError, match="'layernorm'"):
+            ad.backward(loss, params)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +455,8 @@ def test_tape_is_topological():
 
 
 def test_graph_is_freed_without_the_cycle_collector():
-    # tanh and softmax reuse their own output in the vjp; holding it
-    # strongly would keep each graph alive until the cyclic collector runs
+    # a vjp that closed over its own op's output would make each graph a
+    # reference cycle, alive until the cyclic collector runs
     w = ad.Tensor(np.full((2, 3), 0.1), requires_grad=True)
     gc.disable()
     try:

@@ -1,6 +1,8 @@
 """Encoder tests: shape contracts, determinism, freeze semantics, checkpoint
 round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,23 @@ def test_checkpoint_group_mismatch(tmp_path):
                                         n_classes=4), 0)
     with pytest.raises(ValueError, match="mismatch"):
         load_checkpoint(other, path)
+
+
+def test_checkpoint_repeated_group_rejected(tmp_path):
+    # a second entry under a name already read must not silently win
+    m = small_model(0)
+    path = str(tmp_path / "model.sacp")
+    save_checkpoint(m, path)
+    blob = bytearray(open(path, "rb").read())
+    name = next(iter(m.groups))
+    shape = m.groups[name].tensor.shape
+    raw = name.encode("utf-8")
+    blob += struct.pack(f"<H{len(raw)}sB{len(shape)}IB", len(raw), raw, len(shape),
+                        *shape, 1) + np.ones(shape).astype("<f8").tobytes()
+    blob[5:9] = struct.pack("<I", len(m.groups) + 1)
+    with open(path, "wb") as f:
+        f.write(blob)
+    with pytest.raises(ValueError, match=f"repeated group '{name}' in checkpoint file"):
+        read_checkpoint(path)
+    with pytest.raises(ValueError, match="repeated group"):
+        load_checkpoint(small_model(1), path)

@@ -64,7 +64,7 @@ def checkpoint_bytes(scratch) -> bytes:
 @pytest.fixture(scope="module")
 def mask_bytes(scratch) -> bytes:
     rng = np.random.default_rng(0)
-    mask = PruneMask("snip", 0.4, 3, None,
+    mask = PruneMask("snip", 0.4, 3,
                      {"a.weight": rng.random(11) < 0.5, "b.weight": rng.random(3) < 0.5})
     path = scratch / "real.sadm"
     save_mask(mask, str(path))

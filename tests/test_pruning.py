@@ -16,6 +16,7 @@ from sparseadapter.pruning import (PruneMask, ScoreMap, apply_mask, compute_mask
                                    er_sparsities, load_mask, prune_by_percentile,
                                    round_half_up, save_mask, score_er, score_grasp,
                                    score_magnitude, score_random, score_snip)
+from sparseadapter.cli import main
 from oracles import fd_hvp, rel_err
 
 
@@ -349,7 +350,6 @@ def test_percentile_keeps_top_scores():
     scores = ScoreMap("magnitude", {"w": np.array([0.1, 0.5, 0.3, 0.9])})
     mask = prune_by_percentile(scores, 0.5)
     assert np.array_equal(mask.masks["w"], [False, True, False, True])
-    assert mask.threshold == pytest.approx(0.5)
 
 
 def test_percentile_zero_sparsity_all_ones():
@@ -420,7 +420,7 @@ def test_apply_zeros_one_group_makes_adapter_identity():
     masks = {n: np.ones(g.tensor.shape, dtype=bool)
              for n, g in m.prunable_groups().items()}
     masks[f"{site}.up.weight"] = np.zeros_like(masks[f"{site}.up.weight"])
-    apply_mask(m, PruneMask("magnitude", 0.0, None, None, masks))
+    apply_mask(m, PruneMask("magnitude", 0.0, None, masks))
 
     adapter = m.adapter_sites[site]
     rng = np.random.default_rng(0)
@@ -440,7 +440,7 @@ def test_apply_mask_zeroes_masked_positions():
 def test_apply_mask_mismatch_rejected():
     m = adapter_model()
     good = prune_by_percentile(score_random(m, 0), 0.4)
-    bad = PruneMask(good.method, good.s, good.seed, good.threshold,
+    bad = PruneMask(good.method, good.s, good.seed,
                     {n: v for n, v in list(good.masks.items())[1:]})
     with pytest.raises(ValueError):
         apply_mask(m, bad)
@@ -504,3 +504,35 @@ def test_mask_file_model_mismatch(tmp_path):
     save_mask(mask, path)
     with pytest.raises(ValueError, match="layer0"):
         apply_mask(other, load_mask(path))
+
+
+def test_mask_file_repeated_group_rejected(tmp_path, capsys):
+    # a second bitmap under a name already read must not silently win
+    mask = PruneMask("snip", 0.4, 3, {"a.weight": np.ones(16, dtype=bool),
+                                      "b.weight": np.zeros(16, dtype=bool)})
+    path = str(tmp_path / "m.sadm")
+    save_mask(mask, path)
+    blob = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(blob.replace(b"b.weight", b"a.weight"))
+    with pytest.raises(ValueError, match="repeated group 'a.weight' in mask file"):
+        load_mask(path)
+    assert main(["inspect-mask", "--mask", path]) == 1
+    assert capsys.readouterr().err.startswith("error: repeated group 'a.weight'")
+
+
+def test_mask_file_set_padding_bits_rejected(tmp_path, capsys):
+    # 11 elements fill 3 bits of the bitmap's last byte; the other 5 are padding
+    # and must be zero, or a load and save would change the file's bytes
+    mask = PruneMask("snip", 0.4, 3, {"w": np.ones(11, dtype=bool)})
+    path = str(tmp_path / "m.sadm")
+    save_mask(mask, path)
+    blob = open(path, "rb").read()
+    assert blob[-1] == 0b111
+    for bit in range(3, 8):
+        with open(path, "wb") as f:
+            f.write(blob[:-1] + bytes([blob[-1] | 1 << bit]))
+        with pytest.raises(ValueError, match="padding bits set in bitmap of group 'w'"):
+            load_mask(path)
+        assert main(["inspect-mask", "--mask", path]) == 1
+        assert capsys.readouterr().err.startswith("error: padding bits set")

@@ -9,7 +9,7 @@ import pytest
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.data import Split, SyntheticTaskSpec, TaskData, generate
 from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
-    freeze_backbone
+    freeze_backbone, read_checkpoint, save_checkpoint
 from sparseadapter.pruning import PruneMask, compute_mask, score_random, \
     prune_by_percentile
 from sparseadapter.training import (ADAM_EPS, AdamState, OptimizerConfig,
@@ -120,7 +120,7 @@ def test_masked_positions_and_moments_stay_zero():
     pg = _param("w", rng.normal(0, 1, 10))
     keep = np.array([True] * 5 + [False] * 5)
     pg.tensor.data[~keep] = 0.0
-    mask = PruneMask("random", 0.5, 0, None, {"w": keep.copy()})
+    mask = PruneMask("random", 0.5, 0, {"w": keep.copy()})
     cfg = quick_opt()
     state = AdamState.for_params({"w": pg})
     for i in range(20):
@@ -214,8 +214,8 @@ def test_metrics_structure():
 def test_checkpoint_persisted(tmp_path):
     model, data = small_setup(seed=9)
     path = str(tmp_path / "final.sacp")
-    train(model, data, quick_opt(epochs=1), checkpoint_path=path)
-    from sparseadapter.model import read_checkpoint
+    train(model, data, quick_opt(epochs=1))
+    save_checkpoint(model, path)
     entries = read_checkpoint(path)
     assert set(entries) == set(model.groups)
 
