@@ -17,6 +17,14 @@ layer_norm's vjp.
 
 A vjp recomputes what it needs from its op's inputs and never holds the op's
 output, so a graph has no reference cycle and is freed as soon as it is dropped.
+
+Ownership rule: `_Arrays` has in-place twins (``mul_``, ``add_``, ...) that write
+into their first operand, and the engine maps each to its plain op, so an hvp
+graph has the same nodes either way. A twin's first operand must be a temporary
+that its caller made: never ``ops.val`` of an input (`_Arrays.val` is read-only,
+so such a write raises), nor the incoming ``g``, which the ``add`` vjp hands to
+both parents, nor a view of either. A caller may swap the operands of ``add`` or
+``mul`` to put its temporary first, as IEEE addition and multiplication commute.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ def _all_finite(arr: np.ndarray) -> bool:
     # The sum of any array containing a NaN/Inf is itself non-finite, and
     # desk-scale magnitudes cannot overflow a float64 accumulator, so one
     # reduction replaces a full isfinite scan.
-    return math.isfinite(float(np.sum(arr)))
+    return math.isfinite(float(np.add.reduce(arr, axis=None)))
 
 
 class Tensor:
@@ -145,6 +153,13 @@ def _pow_data(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, p)
 
 
+def _in_place(ufunc):
+    """The twin of `ufunc` that writes its result into its first operand."""
+    def twin(a, *rest):
+        return ufunc(a, *rest, out=a)
+    return twin
+
+
 def _sum_axes(nd: int, axes: Sequence[int] | None) -> tuple[int, ...]:
     return tuple(range(nd)) if axes is None else tuple(sorted(ax % nd for ax in axes))
 
@@ -160,7 +175,9 @@ class _Arrays:
     """
 
     def val(t: Tensor) -> np.ndarray:
-        return t.data
+        view = t.data.view()
+        view.flags.writeable = False
+        return view
 
     add = np.add
     add_scalar = np.add
@@ -176,12 +193,17 @@ class _Arrays:
     concat = np.concatenate
     powc = _pow_data
     take_rows = np.ndarray.__getitem__      # take_rows(w, idx) is w[idx]
+    add_ = add_scalar_ = _in_place(np.add)
+    neg_ = _in_place(np.negative)
+    sub_ = _in_place(np.subtract)
+    mul_ = scale_ = _in_place(np.multiply)
+    tanh_ = _in_place(np.tanh)
 
     def swap_last2(a):
         return np.swapaxes(a, -1, -2)
 
     def tsum(a, axes=None, keepdims=False):
-        return np.sum(a, axis=_sum_axes(np.ndim(a), axes), keepdims=keepdims)
+        return np.add.reduce(a, axis=_sum_axes(np.ndim(a), axes), keepdims=keepdims)
 
     def relu(a):
         return np.maximum(a, 0.0)
@@ -201,8 +223,10 @@ class _Arrays:
         return z
 
     def softmax_last(x):
-        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True)
+        e = x - np.max(x, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= np.sum(e, axis=-1, keepdims=True)
+        return e
 
     def cross_entropy_logits(z, labels):
         m = np.max(z, axis=-1, keepdims=True)
@@ -210,13 +234,18 @@ class _Arrays:
         return np.mean(lse - z[np.arange(len(labels)), labels])
 
     def layer_norm(x, gamma, beta, eps):
-        mu = np.mean(x, axis=-1, keepdims=True)
-        xc = x - mu
-        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
-        return xc * inv * gamma + beta
+        # np.mean is add.reduce and then a divide by the count
+        d = x.shape[-1]
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+        xc *= inv
+        xc *= gamma
+        xc += beta
+        return xc
 
     def gelu(x):
-        return 0.5 * x * (1.0 + _gelu_tanh(_Arrays, x))
+        t = _gelu_tanh(_Arrays, x)
+        return np.multiply(0.5 * x, np.add(1.0, t, out=t), out=t)
 
     def attention(q, k, v, bsz, n_heads, prefix=()):
         _, _, v4, p = _attention_weights(_Arrays, q, k, v, bsz, n_heads, prefix)
@@ -227,8 +256,8 @@ def _gelu_tanh(ops, x):
     """tanh(c0 (x + c1 x^3)), the one formula gelu's forward and vjp share. One
     nested expression, so that no temporary outlives its use: an x^2 held
     through the tanh made the forward about 30% slower at encoder shapes."""
-    return ops.tanh(ops.scale(ops.add(x, ops.scale(ops.mul(ops.mul(x, x), x), GELU_C1)),
-                              GELU_C0))
+    return ops.tanh_(ops.scale_(ops.add_(ops.scale_(ops.mul_(ops.mul(x, x), x), GELU_C1), x),
+                                GELU_C0))
 
 
 def _split_heads(ops, x, bsz: int, n_heads: int):
@@ -241,7 +270,7 @@ def _attention_weights(ops, q, k, v, bsz: int, n_heads: int, prefix):
     if prefix:
         k4 = ops.concat([prefix[0], k4], 2)
         v4 = ops.concat([prefix[1], v4], 2)
-    scores = ops.scale(ops.matmul(q4, ops.swap_last2(k4)), 1.0 / math.sqrt(q4.shape[-1]))
+    scores = ops.scale_(ops.matmul(q4, ops.swap_last2(k4)), 1.0 / math.sqrt(q4.shape[-1]))
     return q4, k4, v4, ops.softmax_last(scores)
 
 
@@ -254,7 +283,7 @@ class _Engine:
         return t
 
     def __getattr__(self, name: str):
-        return globals()[name]
+        return globals()[name.removesuffix("_")]     # an in-place twin is its plain op
 
 
 _ENGINE = _Engine()
@@ -508,7 +537,7 @@ def softmax_last(x: Tensor) -> Tensor:
 
 def _softmax_vjp(ops, g, p):
     gp = ops.mul(g, p)
-    return ops.sub(gp, ops.mul(p, ops.broadcast_to(
+    return ops.sub_(gp, ops.mul(p, ops.broadcast_to(
         ops.tsum(gp, axes=(-1,), keepdims=True), p.shape)))
 
 
@@ -531,8 +560,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bsz: int, n_heads: int,
         g4 = _split_heads(ops, g, bsz, n_heads)
         want = (needs[0], needs[1] or any(needs[3:4]), needs[2] or any(needs[4:]))
         if want[0] or want[1]:      # back through softmax and the 1/sqrt(d_head) scale
-            gs = ops.scale(_softmax_vjp(ops, ops.matmul(g4, ops.swap_last2(v4)), p),
-                           1.0 / math.sqrt(g4.shape[-1]))
+            gs = ops.scale_(_softmax_vjp(ops, ops.matmul(g4, ops.swap_last2(v4)), p),
+                            1.0 / math.sqrt(g4.shape[-1]))
         g4s = (ops.matmul(gs, k4) if want[0] else None,
                ops.swap_last2(ops.matmul(ops.swap_last2(q4), gs)) if want[1] else None,
                ops.matmul(ops.swap_last2(p), g4) if want[2] else None)
@@ -586,24 +615,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def vjp(g, needs, ops):
         # y = (x - mean) / std, recomputed through ops so that hvp sees it
         xv = ops.val(x)
-        mu = ops.scale(ops.tsum(xv, axes=(-1,), keepdims=True), 1.0 / d)
+        mu = ops.scale_(ops.tsum(xv, axes=(-1,), keepdims=True), 1.0 / d)
         xc = ops.sub(xv, ops.broadcast_to(mu, x.shape))
-        var = ops.scale(ops.tsum(ops.mul(xc, xc), axes=(-1,), keepdims=True), 1.0 / d)
-        inv = ops.powc(ops.add_scalar(var, eps), -0.5)
-        y = ops.mul(xc, ops.broadcast_to(inv, x.shape))
+        var = ops.scale_(ops.tsum(ops.mul(xc, xc), axes=(-1,), keepdims=True), 1.0 / d)
+        inv = ops.powc(ops.add_scalar_(var, eps), -0.5)
+        y = ops.mul_(xc, ops.broadcast_to(inv, x.shape))
         gx = ggamma = gbeta = None
         if needs[0]:
             gamma_wide = ops.broadcast_to(
                 ops.reshape(ops.val(gamma), (1,) * len(lead) + (d,)), x.shape)
             gy = ops.mul(g, gamma_wide)
-            mean_gy = ops.scale(ops.tsum(gy, axes=(-1,), keepdims=True), 1.0 / d)
-            mean_gyy = ops.scale(ops.tsum(ops.mul(gy, y), axes=(-1,), keepdims=True),
-                                 1.0 / d)
-            centered = ops.sub(ops.sub(gy, ops.broadcast_to(mean_gy, x.shape)),
-                               ops.mul(y, ops.broadcast_to(mean_gyy, x.shape)))
-            gx = ops.mul(centered, ops.broadcast_to(inv, x.shape))
+            mean_gy = ops.scale_(ops.tsum(gy, axes=(-1,), keepdims=True), 1.0 / d)
+            mean_gyy = ops.scale_(ops.tsum(ops.mul(gy, y), axes=(-1,), keepdims=True),
+                                  1.0 / d)
+            centered = ops.sub_(ops.sub_(gy, ops.broadcast_to(mean_gy, x.shape)),
+                                ops.mul(y, ops.broadcast_to(mean_gyy, x.shape)))
+            gx = ops.mul_(centered, ops.broadcast_to(inv, x.shape))
         if needs[1]:
-            ggamma = ops.tsum(ops.mul(g, y), axes=lead) if lead else ops.mul(g, y)
+            ggamma = ops.tsum(ops.mul_(y, g), axes=lead) if lead else ops.mul_(y, g)
         if needs[2]:
             gbeta = ops.tsum(g, axes=lead) if lead else g
         return gx, ggamma, gbeta
@@ -618,11 +647,12 @@ def gelu(x: Tensor) -> Tensor:
         # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2),  t = tanh(...)
         xv = ops.val(x)
         t = _gelu_tanh(ops, xv)
-        one_minus_t2 = ops.add_scalar(ops.neg(ops.mul(t, t)), 1.0)
-        du = ops.scale(ops.add_scalar(ops.scale(ops.mul(xv, xv), 3.0 * GELU_C1), 1.0), GELU_C0)
-        deriv = ops.add(ops.scale(ops.add_scalar(t, 1.0), 0.5),
-                        ops.mul(ops.scale(xv, 0.5), ops.mul(one_minus_t2, du)))
-        return (ops.mul(g, deriv),)
+        one_minus_t2 = ops.add_scalar_(ops.neg_(ops.mul(t, t)), 1.0)
+        du = ops.scale_(ops.add_scalar_(ops.scale_(ops.mul(xv, xv), 3.0 * GELU_C1), 1.0),
+                        GELU_C0)
+        deriv = ops.add_(ops.scale_(ops.add_scalar_(t, 1.0), 0.5),
+                         ops.mul_(ops.scale(xv, 0.5), ops.mul_(one_minus_t2, du)))
+        return (ops.mul_(deriv, g),)
 
     return _from_op("gelu", _Arrays.gelu(x.data), (x,), vjp)
 

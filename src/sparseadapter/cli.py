@@ -123,7 +123,11 @@ def parse_config(payload: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(json.load(f))
+        try:
+            payload = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return parse_config(payload)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

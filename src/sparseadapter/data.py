@@ -151,7 +151,8 @@ def read_jsonl(path: str) -> Split:
                     raise ValueError("tokens must be a list of ints and label an int")
                 tokens.append(rec["tokens"])
                 labels.append(rec["label"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     if not tokens:
         raise ValueError(f"{path}: empty dataset")

@@ -293,9 +293,14 @@ def read_checkpoint(path: str) -> dict[str, tuple[np.ndarray, bool]]:
         (ndim,) = r.fields("B", f"rank of group '{name}'")
         shape = r.fields(f"{ndim}I", f"shape of group '{name}'")
         (trainable,) = r.fields("B", f"trainable flag of group '{name}'")
+        if trainable not in (0, 1):
+            raise ValueError(f"trainable flag {trainable} of group '{name}' in "
+                             f"checkpoint file is neither 0 nor 1")
         raw = r.take(8 * math.prod(shape), f"weights of group '{name}'")
-        out[name] = (np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
-                     bool(trainable))
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite weights in group '{name}' of checkpoint file")
+        out[name] = (arr, bool(trainable))
     r.done()
     return out
 

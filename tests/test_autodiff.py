@@ -326,6 +326,21 @@ def test_array_backend_matches_engine_bitwise(variant, frozen):
 
 @pytest.mark.parametrize("frozen", [True, False])
 @pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_first_order_backward_leaves_node_values_alone(variant, frozen):
+    # the in-place twins may write only into temporaries a vjp made itself
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    loss = m.loss(*_batch(61))
+    nodes = ad.Tape.from_output(loss).nodes
+    before = [t.data.tobytes() for t in nodes]
+    ad.backward(loss, params)
+    assert [t.data.tobytes() for t in nodes] == before
+    with pytest.raises(ValueError, match="read-only"):
+        ad._Arrays.mul_(ad._Arrays.val(loss), 2.0)
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
 def test_fused_encoder_matches_composed_ops_bitwise(variant, frozen):
     # take_rows and attention against the one-hot matmul and the 13 ops they replace
     m = _encoder(variant, frozen)

@@ -4,6 +4,7 @@ small config, sweep aggregation, artifact layout, error exit codes."""
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,30 @@ def test_truncated_files_are_error_lines(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: truncated mask file")
 
 
+@pytest.mark.parametrize("corrupt", ["flag", "nan", "inf"])
+def test_corrupt_checkpoint_group_is_an_error_line(tmp_path, capsys, corrupt):
+    config = write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", config, "--out", out]) == 0
+    path = os.path.join(out, "checkpoint.sacp")
+    blob = bytearray(open(path, "rb").read())
+    # the first group follows the magic, the version byte and the group count
+    (n,) = struct.unpack_from("<H", blob, 9)
+    name = blob[11:11 + n].decode()
+    flag = 11 + n + 1 + 4 * blob[11 + n]
+    if corrupt == "flag":
+        blob[flag] = 7
+    else:
+        struct.pack_into("<d", blob, flag + 1, float(corrupt))
+    with open(path, "wb") as f:
+        f.write(blob)
+    capsys.readouterr()
+    assert main(["eval", "--config", config, "--checkpoint", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"group '{name}'" in err
+
+
 def test_mask_model_mismatch_names_group(tmp_path, capsys):
     config = write_config(tmp_path)
     out = str(tmp_path / "out")
@@ -231,6 +256,29 @@ def test_file_dataset_path(tmp_path):
     config = write_config(tmp_path, data={"path": str(ddir)})
     out = str(tmp_path / "run")
     assert main(["train", "--config", config, "--out", out]) == 0
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_config_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(DEEP)
+    assert main(["prune", "--config", str(path), "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_dataset_record_is_an_error_line(tmp_path, capsys):
+    ddir = tmp_path / "dataset"
+    ddir.mkdir()
+    for split in ("train", "eval"):
+        (ddir / f"{split}.jsonl").write_text('{"tokens": ' + DEEP + ', "label": 0}\n')
+    config = write_config(tmp_path, data={"path": str(ddir)})
+    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "train.jsonl:1: bad dataset record" in err
 
 
 # ---------------------------------------------------------------------------
