@@ -17,6 +17,11 @@ layer_norm's vjp.
 
 A vjp recomputes what it needs from its op's inputs and never holds the op's
 output, so a graph has no reference cycle and is freed as soon as it is dropped.
+`_VJP_READS` names the inputs each op's vjp reads through ``ops.val``. A
+create-graph backward drops the value of each node that a vjp made and did not
+return unless a consumer's vjp reads it: all of its consumers were made in the
+same call, so nothing later can read it. Reading a dropped value raises
+AttributeError; it never turns into zeros.
 
 Ownership rule: `_Arrays` has in-place twins (``mul_``, ``add_``, ...) that write
 into their first operand, and the engine maps each to its plain op, so an hvp
@@ -112,7 +117,8 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(op={self._op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+        shape = self.shape if hasattr(self, "data") else "released"
+        return f"Tensor(op={self._op!r}, shape={shape}, requires_grad={self.requires_grad})"
 
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
@@ -204,9 +210,6 @@ class _Arrays:
 
     def tsum(a, axes=None, keepdims=False):
         return np.add.reduce(a, axis=_sum_axes(np.ndim(a), axes), keepdims=keepdims)
-
-    def relu(a):
-        return np.maximum(a, 0.0)
 
     def affine(x, w, b):
         out = np.matmul(x, w)
@@ -445,16 +448,6 @@ def powc(a: Tensor, p: float) -> Tensor:
     return _from_op("pow", out_data, (a,), vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    # Gate captured as a constant: piecewise-constant factor, zero curvature.
-    gate = Tensor((a.data > 0).astype(np.float64))
-
-    def vjp(g, needs, ops):
-        return (ops.mul(g, ops.val(gate)),)
-
-    return _from_op("relu", _Arrays.relu(a.data), (a,), vjp)
-
-
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     axis = axis % a.ndim
     total = a.shape[axis]
@@ -494,11 +487,12 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def take_rows(w: Tensor, idx: np.ndarray) -> Tensor:
     """Rows `idx` of a 2-D table, repeats allowed; the vjp onehot(idx)ᵀ @ g is linear."""
     idx = np.asarray(idx)
-    if w.ndim != 2 or idx.ndim != 1 or idx.size and not 0 <= idx.min() <= idx.max() < len(w.data):
+    n_rows = len(w.data)
+    if w.ndim != 2 or idx.ndim != 1 or idx.size and not 0 <= idx.min() <= idx.max() < n_rows:
         raise ShapeError(f"take_rows: {idx.shape} indices into a {w.shape} table")
 
     def vjp(g, needs, ops):
-        onehot = Tensor((idx[:, None] == np.arange(len(w.data))).astype(np.float64))
+        onehot = Tensor((idx[:, None] == np.arange(n_rows)).astype(np.float64))
         return (ops.matmul(ops.swap_last2(ops.val(onehot)), g),)
 
     return _from_op("take_rows", _Arrays.take_rows(w.data, idx), (w,), vjp)
@@ -687,6 +681,34 @@ class Tape:
         return cls(nodes)
 
 
+# The parents whose values each op's vjp reads through `ops.val`, by op name.
+# Every other vjp uses only its incoming gradient and what the forward fixed.
+_VJP_READS = {"mul": (0, 1), "matmul": (0, 1), "tanh": (0,), "pow": (0,),
+              "affine": (0, 1), "softmax": (0,), "attention": (0, 1, 2, 3, 4),
+              "cross_entropy": (0,), "layernorm": (0, 1), "gelu": (0,)}
+
+
+def _release_unread(outs, first_id: int) -> None:
+    """Drop the value of each node an engine vjp made (ids above `first_id`) and
+    did not return in `outs`, unless the vjp of one of its consumers reads it.
+    Such a node's consumers were all made in the same call."""
+    kept = {t._id for t in outs if t is not None}
+    made = [t for t in outs if t is not None and t._id > first_id]
+    seen = {t._id for t in made}
+    for node in made:       # grows as the walk reaches the call's earlier nodes
+        reads = _VJP_READS.get(node._op, ())
+        for i, p in enumerate(node._parents):
+            if p._id > first_id:
+                if i in reads:
+                    kept.add(p._id)
+                if p._id not in seen:
+                    seen.add(p._id)
+                    made.append(p)
+    for t in made:
+        if t._id not in kept:
+            del t.data
+
+
 def _run_vjps(loss: Tensor, params: Mapping[str, Tensor], ops, seed) -> dict:
     """Every vjp behind `loss`, run on backend `ops`; gradients by parameter name."""
     param_names = {t._id: name for name, t in params.items()}
@@ -702,14 +724,18 @@ def _run_vjps(loss: Tensor, params: Mapping[str, Tensor], ops, seed) -> dict:
         if node._vjp is None:
             continue
         needs = tuple(p.requires_grad for p in node._parents)
+        first_id = next(_next_id) if ops is _ENGINE else None     # below the vjp's nodes
         try:
-            for parent, pg in zip(node._parents, node._vjp(g, needs, ops)):
+            pgs = node._vjp(g, needs, ops)
+            for parent, pg in zip(node._parents, pgs):
                 if pg is None:
                     continue
                 acc = grads.get(parent._id)
                 grads[parent._id] = pg if acc is None else ops.add(acc, pg)
         except FloatingPointError as exc:    # raised by backward's errstate
             raise NumericError(f"non-finite values in the vjp of op '{node._op}'") from exc
+        if first_id is not None:
+            _release_unread(pgs, first_id)
     return result
 
 

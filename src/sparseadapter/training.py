@@ -53,6 +53,11 @@ class OptimizerConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name in ("beta1", "beta2"):     # 1 - beta**t is 0 at beta = 1
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 def lr_at(step: int, total_steps: int, cfg: OptimizerConfig) -> float:

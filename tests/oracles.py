@@ -79,14 +79,14 @@ def random_small_net(rng, with_softmax=True):
     """A random tiny MLP: (loss_fn, params) with a few dozen parameters.
 
     Depth, widths, and activations vary per draw so the gradient checks cover
-    matmul/bias/tanh/gelu/relu/layernorm and both loss heads.
+    affine/tanh/gelu/layernorm and both loss heads.
     """
     n_in = int(rng.integers(2, 5))
     depth = int(rng.integers(1, 4))
     widths = [n_in] + [int(rng.integers(2, 6)) for _ in range(depth)]
     batch = int(rng.integers(2, 5))
     x = ad.Tensor(rng.uniform(-1.0, 1.0, (batch, n_in)))
-    acts = [rng.choice(["tanh", "gelu", "relu", "layernorm"]) for _ in range(depth)]
+    acts = [rng.choice(["tanh", "gelu", "layernorm"]) for _ in range(depth)]
 
     params = {}
     for i in range(depth):
@@ -110,8 +110,6 @@ def random_small_net(rng, with_softmax=True):
                 h = ad.tanh(h)
             elif acts[i] == "gelu":
                 h = ad.gelu(h)
-            elif acts[i] == "relu":
-                h = ad.gelu(h) if i == depth - 1 else ad.relu(h)
             else:
                 h = ad.layer_norm(h, p[f"g{i}"], p[f"beta{i}"])
         if labels is not None:

@@ -30,14 +30,17 @@ def _rand(rng, *shape):
     return ad.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
 
 
-@pytest.mark.parametrize("case", [
+PRIMITIVE_CASES = [
     "add", "mul", "neg", "scale", "add_scalar", "matmul", "batched_matmul",
     "swap", "permute", "reshape", "sum_all", "sum_axis", "broadcast", "tanh",
-    "pow2", "pow_neg", "relu", "slice", "pad", "concat",
+    "pow2", "pow_neg", "slice", "pad", "concat",
     "affine", "softmax", "layernorm", "gelu", "cross_entropy", "take_rows",
     "attention", "attention_prefix",
-])
-def test_primitive_gradients(case):
+]
+
+
+def _primitive_case(case):
+    """(loss_fn, params, rng) of a small loss through one primitive."""
     rng = np.random.default_rng(zlib.crc32(case.encode()))
     c = ad.Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
 
@@ -95,10 +98,6 @@ def test_primitive_gradients(case):
     elif case == "pow_neg":
         p = {"a": ad.Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)}
         fn = lambda q: ad.tsum(ad.mul(ad.powc(q["a"], -0.5), c))
-    elif case == "relu":
-        p = {"a": ad.Tensor(rng.uniform(0.05, 1.0, (3, 4)) *
-                            rng.choice([-1.0, 1.0], (3, 4)), requires_grad=True)}
-        fn = lambda q: ad.tsum(ad.mul(ad.relu(q["a"]), c))
     elif case == "slice":
         cc = ad.Tensor(rng.uniform(-1, 1, (3, 2)))
         p = {"a": _rand(rng, 3, 4)}
@@ -143,8 +142,44 @@ def test_primitive_gradients(case):
             q["q"], q["k"], q["v"], 2, 2, [q[n] for n in ("pk", "pv") if n in q]), cc))
     else:
         raise AssertionError(case)
+    return fn, p, rng
 
+
+@pytest.mark.parametrize("case", PRIMITIVE_CASES)
+def test_primitive_gradients(case):
+    fn, p, rng = _primitive_case(case)
     check_grad(fn, p)
+    # and the double backward, against finite differences of gradients
+    v = {k: ad.Tensor(rng.uniform(-1.0, 1.0, t.shape)) for k, t in p.items()}
+    hv = ad.hvp(fn, p, v)
+    fd = fd_hvp(fn, p, v)
+    for k in p:
+        assert rel_err(hv[k].data, fd[k]) < 1e-4, k
+
+
+def test_vjps_read_exactly_the_declared_parents():
+    # a create-graph backward keeps a value that a vjp made only if _VJP_READS
+    # says that a consumer's vjp reads it
+    read = []
+
+    class Recording(ad._Arrays):
+        def val(t):
+            read.append(t)
+            return ad._Arrays.val(t)
+
+    ops_seen = set()
+    for case in PRIMITIVE_CASES:
+        fn, p, _ = _primitive_case(case)
+        for node in ad.Tape.from_output(fn(p)).nodes:
+            if node._vjp is None:
+                continue
+            read.clear()
+            node._vjp(np.ones(node.shape), (True,) * len(node._parents), Recording)
+            got = {i for i, parent in enumerate(node._parents) if any(t is parent for t in read)}
+            declared = set(ad._VJP_READS.get(node._op, ())) & set(range(len(node._parents)))
+            assert got == declared, (case, node._op)
+            ops_seen.add(node._op)
+    assert ops_seen >= ad._VJP_READS.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +401,42 @@ def test_hvp_through_mam_encoder_matches_fd():
     fd = fd_hvp(loss_fn, params, v)
     for k in params:
         assert rel_err(hv[k].data, fd[k]) < 1e-4, k
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_create_graph_backward_keeps_only_values_a_vjp_reads(variant, frozen):
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    loss = m.loss(*_batch(67))
+    calls = []      # (id before, id after, outputs) of every vjp call
+
+    def logged(vjp):
+        def call(g, needs, ops):
+            first = next(ad._next_id)
+            outs = vjp(g, needs, ops)
+            calls.append((first, next(ad._next_id), outs))
+            return outs
+        return call
+
+    for node in ad.Tape.from_output(loss).nodes:
+        if node._vjp is not None:
+            node._vjp = logged(node._vjp)
+    grads = ad.backward(loss, params, create_graph=True)
+
+    graph = {n._id: n for g in grads.values() for n in ad.Tape.from_output(g).nodes}
+    returned = {t._id for _, _, outs in calls for t in outs if t is not None}
+    read = {p._id for n in graph.values() for i, p in enumerate(n._parents)
+            if i in ad._VJP_READS.get(n._op, ())}
+    made = [n for n in graph.values() if any(a < n._id < b for a, b, _ in calls)]
+    released = [n for n in made if not hasattr(n, "data")]
+    assert all(hasattr(graph[i], "data") for i in read)
+    assert all(n._id in returned or n._id in read for n in made if hasattr(n, "data"))
+    assert released
+    # a dropped value fails loudly when read, and still prints
+    assert "released" in repr(released[0])
+    with pytest.raises(AttributeError):
+        ad.neg(released[0])
 
 
 def test_grasp_scores_match_engine_bitwise(monkeypatch):

@@ -190,23 +190,31 @@ def test_truncated_files_are_error_lines(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: truncated mask file")
 
 
+def corrupted(blob: bytes, corrupt: str) -> bytes:
+    """A checkpoint whose first group has flag byte 7 ("flag") or a NaN or Inf
+    first weight ("nan", "inf")."""
+    blob = bytearray(blob)
+    # the first group follows the magic, the version byte and the group count
+    (n,) = struct.unpack_from("<H", blob, 9)
+    flag = 11 + n + 1 + 4 * blob[11 + n]
+    if corrupt == "flag":
+        blob[flag] = 7
+    else:
+        struct.pack_into("<d", blob, flag + 1, float(corrupt))
+    return bytes(blob)
+
+
 @pytest.mark.parametrize("corrupt", ["flag", "nan", "inf"])
 def test_corrupt_checkpoint_group_is_an_error_line(tmp_path, capsys, corrupt):
     config = write_config(tmp_path)
     out = str(tmp_path / "run")
     assert main(["train", "--config", config, "--out", out]) == 0
     path = os.path.join(out, "checkpoint.sacp")
-    blob = bytearray(open(path, "rb").read())
-    # the first group follows the magic, the version byte and the group count
+    blob = open(path, "rb").read()
     (n,) = struct.unpack_from("<H", blob, 9)
     name = blob[11:11 + n].decode()
-    flag = 11 + n + 1 + 4 * blob[11 + n]
-    if corrupt == "flag":
-        blob[flag] = 7
-    else:
-        struct.pack_into("<d", blob, flag + 1, float(corrupt))
     with open(path, "wb") as f:
-        f.write(blob)
+        f.write(corrupted(blob, corrupt))
     capsys.readouterr()
     assert main(["eval", "--config", config, "--checkpoint", path]) == 1
     err = capsys.readouterr().err
@@ -336,6 +344,17 @@ def test_divergence_exit_code(tmp_path, capsys):
                              "seed": 0})
     assert main(["train", "--config", config, "--out", str(tmp_path / "d")]) == 3
     assert "diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", 2.0),
+                                       ("beta1", -0.5), ("weight_decay", -0.5)])
+def test_bad_adam_hyperparameter_is_an_error_line(tmp_path, capsys, key, value):
+    # beta = 1 zeroes Adam's bias correction: a config error, not a divergence
+    optimizer = {"peak_lr": 1e-3, "epochs": 1, "batch_size": 16, "seed": 0, key: value}
+    config = write_config(tmp_path, optimizer=optimizer)
+    assert main(["train", "--config", config, "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be " + ("in [0, 1)\n" if "beta" in key else ">= 0\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

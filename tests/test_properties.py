@@ -1,19 +1,27 @@
 """Property tests for the outside inputs: SACP checkpoints, SADM masks and
 JSON configs. Whatever the bytes or values, a reader either returns a valid
-object or raises ValueError; nothing else escapes."""
+object or raises ValueError; nothing else escapes. Through `main`, every such
+input ends in exit code 0, 1 or 3, and a failure in one `error:` line."""
 
+import contextlib
+import io
 import json
+import os
+import pathlib
+import resource
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sparseadapter.adapters import AdapterSpec, insert_adapters
-from sparseadapter.cli import parse_config, serialize_config
+from sparseadapter.cli import build_model, main, parse_config, serialize_config
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
     read_checkpoint, save_checkpoint
 from sparseadapter.pruning import PruneMask, load_mask, save_mask
+from test_cli import DEEP, corrupted, small_config
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +201,103 @@ def test_config_leaf_replaced_by_any_json_value(leaf, value):
     except ValueError:
         return
     assert parse_config(json.loads(serialize_config(cfg))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# exit codes of main for any config value, checkpoint or mask bytes
+# ---------------------------------------------------------------------------
+
+# the tests/test_cli.py small config with every default spelled out, so that
+# each field is a leaf
+CLI_CONFIG = json.loads(serialize_config(parse_config(small_config(pathlib.Path("unused")))))
+CLI_LEAVES = list(leaf_paths(CLI_CONFIG))
+SENTINEL = "\x00leaf"
+
+
+def _cli_files() -> tuple[bytes, bytes]:
+    """A checkpoint that `eval` of CLI_CONFIG loads, and a mask file."""
+    model = build_model(parse_config(CLI_CONFIG))
+    rng = np.random.default_rng(0)
+    mask = PruneMask("random", 0.4, 0, {n: rng.random(g.tensor.size) < 0.5
+                                        for n, g in model.prunable_groups().items()})
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(model, os.path.join(d, "c"))
+        save_mask(mask, os.path.join(d, "m"))
+        return (pathlib.Path(d, "c").read_bytes(), pathlib.Path(d, "m").read_bytes())
+
+
+CLI_CHECKPOINT, CLI_MASK = _cli_files()
+
+
+@contextlib.contextmanager
+def memory_cap(headroom: int = 256 << 20):
+    """Cap this process's address space at its current size plus `headroom`, so
+    that a config too large for the machine ends in MemoryError (exit 1)
+    instead of the OOM killer; Linux only, elsewhere no cap."""
+    if not os.path.exists("/proc/self/statm"):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as f:
+        size = int(f.read().split()[0]) * resource.getpagesize()
+    cap = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def check_exit_code(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with memory_cap():
+            code = main(argv)
+    event(f"exit code {code}")
+    assert code in (0, 1, 3), code
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
+
+
+def overwritten(valid: bytes):
+    """`valid` with a run of bytes replaced at some offset."""
+    return st.tuples(st.integers(0, len(valid) - 1), st.binary(min_size=1, max_size=8)).map(
+        lambda at: valid[:at[0]] + at[1] + valid[at[0] + len(at[1]):])
+
+
+@settings(deadline=None, max_examples=300)
+@given(leaf=st.sampled_from(CLI_LEAVES), text=JSON_VALUES.map(json.dumps))
+@example(leaf=("encoder", "d_model"), text=DEEP)
+@example(leaf=("optimizer", "beta2"), text="1.0")
+def test_prune_exit_code_for_any_config_value(leaf, text, scratch):
+    payload = json.loads(json.dumps(CLI_CONFIG))
+    node = payload
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = SENTINEL
+    config = scratch / "any.json"
+    config.write_text(json.dumps(payload).replace(json.dumps(SENTINEL), text))
+    check_exit_code(["prune", "--config", str(config), "--out", str(scratch / "prune")])
+
+
+@settings(deadline=None, max_examples=200)
+@given(blob=with_header(b"SACP") | overwritten(CLI_CHECKPOINT))
+@example(blob=CLI_CHECKPOINT)
+@example(blob=corrupted(CLI_CHECKPOINT, "nan"))
+@example(blob=corrupted(CLI_CHECKPOINT, "flag"))
+def test_eval_exit_code_for_any_checkpoint_bytes(blob, scratch):
+    config = scratch / "cli.json"
+    config.write_text(json.dumps(CLI_CONFIG))
+    checkpoint = scratch / "any.sacp"
+    checkpoint.write_bytes(blob)
+    check_exit_code(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(blob=with_header(b"SADM") | overwritten(CLI_MASK))
+@example(blob=CLI_MASK)
+def test_inspect_mask_exit_code_for_any_bytes(blob, scratch):
+    mask = scratch / "any.sadm"
+    mask.write_bytes(blob)
+    check_exit_code(["inspect-mask", "--mask", str(mask)])
