@@ -1,11 +1,16 @@
 """Adapter variants plugged into the encoder, plus parameter-budget accounting.
 
-Four variants:
-  * houlsby  - bottleneck after attention and after FFN, every layer
-  * pfeiffer - bottleneck after FFN only
-  * lora     - rank decomposition added to the attention q/v projections
-  * mam      - parallel bottleneck at FFN plus learned prefix key/value
-               vectors at attention
+Every delta site is one call, ``site(base, x)`` = base + delta(x) (He et al.,
+2022): the caller computes the backbone's own output `base`, and the variants
+differ only in where it reads `x`.
+  * houlsby  - serial bottleneck after attention and after FFN, every layer
+               (x = base)
+  * pfeiffer - serial bottleneck after FFN only (x = base)
+  * lora     - rank decomposition beside the attention q/v projections
+               (base = the projection, x = its input)
+  * mam      - parallel bottleneck at FFN (base = the FFN output, x = its
+               input) plus learned prefix key/value rows, which `PrefixSite`
+               puts in front of each sequence's own key/value rows
 
 Adapter weight matrices are the prunable parameter set; biases and prefix
 vectors are trainable but never pruned.
@@ -74,10 +79,10 @@ class LargeSparseConfig:
 
 
 class BottleneckAdapter:
-    """Residual bottleneck: x + W_up . gelu(W_down . x + b_down) + b_up.
+    """Bottleneck delta W_up . gelu(W_down . x + b_down) + b_up, times `scale`.
 
-    ``parallel`` sites contribute only the delta term, scaled like LoRA by
-    alpha/r, and are combined with the FFN output by the caller.
+    A serial site reads x = base; a ``parallel`` site (mam) reads the FFN's
+    input and is scaled like LoRA by alpha/r.
     """
 
     def __init__(self, down_w: Tensor, down_b: Tensor, up_w: Tensor, up_b: Tensor,
@@ -94,17 +99,14 @@ class BottleneckAdapter:
         out = ad.affine(hidden, self.up_w, self.up_b)
         return out if self.scale == 1.0 else ad.scale(out, self.scale)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(x, self.delta(x))
+    def __call__(self, base: Tensor, x: Tensor) -> Tensor:
+        return ad.add(base, self.delta(x))
 
 
 class LoraProjection:
-    """base_proj(x) + (alpha/r) * x @ A @ B wrapping one attention projection."""
+    """(alpha/r) * x @ A @ B beside one attention projection of x."""
 
-    def __init__(self, base_w: Tensor, base_b: Tensor, a: Tensor, b: Tensor,
-                 alpha: float, r: int):
-        self.base_w = base_w
-        self.base_b = base_b
+    def __init__(self, a: Tensor, b: Tensor, alpha: float, r: int):
         self.a = a
         self.b = b
         self.scaling = alpha / r
@@ -112,27 +114,30 @@ class LoraProjection:
     def delta(self, x: Tensor) -> Tensor:
         return ad.scale(ad.matmul(ad.matmul(x, self.a), self.b), self.scaling)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.affine(x, self.base_w, self.base_b), self.delta(x))
+    def __call__(self, base: Tensor, x: Tensor) -> Tensor:
+        return ad.add(base, self.delta(x))
 
 
 class PrefixSite:
-    """Learned prefix key/value rows prepended to a layer's attention."""
+    """Learned (P, d) prefix key/value rows, put in front of each sequence's own
+    (seq, d) key/value rows, so that every query also attends to them."""
 
-    def __init__(self, key: Tensor, value: Tensor, n_heads: int):
+    def __init__(self, key: Tensor, value: Tensor):
         self.key = key
         self.value = value
-        self.n_heads = n_heads
 
-    def _heads(self, t: Tensor, bsz: int) -> Tensor:
-        p = ad.permute(ad.reshape(t, (1, t.shape[0], self.n_heads, -1)), (0, 2, 1, 3))
-        return ad.broadcast_to(p, (bsz,) + p.shape[1:])
+    @staticmethod
+    def _rows(prefix: Tensor, t: Tensor, bsz: int) -> Tensor:
+        n_pre, d = prefix.shape
+        rows = ad.concat([ad.broadcast_to(ad.reshape(prefix, (1, n_pre, d)), (bsz, n_pre, d)),
+                          ad.reshape(t, (bsz, -1, d))], 1)
+        return ad.reshape(rows, (-1, d))
 
-    def key_heads(self, bsz: int) -> Tensor:
-        return self._heads(self.key, bsz)
+    def key_heads(self, k: Tensor, bsz: int) -> Tensor:
+        return self._rows(self.key, k, bsz)
 
-    def value_heads(self, bsz: int) -> Tensor:
-        return self._heads(self.value, bsz)
+    def value_heads(self, v: Tensor, bsz: int) -> Tensor:
+        return self._rows(self.value, v, bsz)
 
 
 def _add_bottleneck(model: Model, rng: np.random.Generator, site: str,
@@ -159,9 +164,8 @@ def _add_lora(model: Model, rng: np.random.Generator, proj: str,
     b_init = np.zeros((r, d)) if spec.lora_zero_b else \
         rng.normal(0.0, spec.gaussian_std, (r, d))
     b = model.add_group(f"{proj}.lora.B", b_init, prunable=True, adapter=True)
-    model.adapter_sites[f"{proj}.lora"] = LoraProjection(
-        model.param(f"{proj}.weight"), model.param(f"{proj}.bias"),
-        a.tensor, b.tensor, spec.lora_alpha, r)
+    model.adapter_sites[f"{proj}.lora"] = LoraProjection(a.tensor, b.tensor,
+                                                         spec.lora_alpha, r)
 
 
 def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
@@ -192,8 +196,7 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
                                   rng.normal(0.0, PREFIX_INIT_STD,
                                              (spec.prefix_len, model.cfg.d_model)),
                                   adapter=True)
-            model.adapter_sites[f"{pre}.attn.prefix"] = PrefixSite(
-                key.tensor, val.tensor, model.cfg.n_heads)
+            model.adapter_sites[f"{pre}.attn.prefix"] = PrefixSite(key.tensor, val.tensor)
     model.adapter_spec = spec
 
 

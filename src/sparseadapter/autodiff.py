@@ -83,10 +83,7 @@ class Tensor:
     leaves (parameters, constants) carry neither.
     """
 
-    # The engine takes no weak reference to a tensor: __weakref__ is here only
-    # so that a test can observe a graph being freed without the cycle collector.
-    __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -250,8 +247,8 @@ class _Arrays:
         t = _gelu_tanh(_Arrays, x)
         return np.multiply(0.5 * x, np.add(1.0, t, out=t), out=t)
 
-    def attention(q, k, v, bsz, n_heads, prefix=()):
-        _, _, v4, p = _attention_weights(_Arrays, q, k, v, bsz, n_heads, prefix)
+    def attention(q, k, v, bsz, n_heads):
+        _, _, v4, p = _attention_weights(_Arrays, q, k, v, bsz, n_heads)
         return np.reshape(np.transpose(np.matmul(p, v4), (0, 2, 1, 3)), q.shape)
 
 
@@ -267,12 +264,9 @@ def _split_heads(ops, x, bsz: int, n_heads: int):
     return ops.permute(ops.reshape(x, (bsz, -1, n_heads, x.shape[1] // n_heads)), (0, 2, 1, 3))
 
 
-def _attention_weights(ops, q, k, v, bsz: int, n_heads: int, prefix):
-    """Heads of q, k and v (prefix rows first in k and v) and the softmax weights."""
+def _attention_weights(ops, q, k, v, bsz: int, n_heads: int):
+    """Heads of q, k and v and the softmax weights."""
     q4, k4, v4 = (_split_heads(ops, x, bsz, n_heads) for x in (q, k, v))
-    if prefix:
-        k4 = ops.concat([prefix[0], k4], 2)
-        v4 = ops.concat([prefix[1], v4], 2)
     scores = ops.scale_(ops.matmul(q4, ops.swap_last2(k4)), 1.0 / math.sqrt(q4.shape[-1]))
     return q4, k4, v4, ops.softmax_last(scores)
 
@@ -535,39 +529,31 @@ def _softmax_vjp(ops, g, p):
         ops.tsum(gp, axes=(-1,), keepdims=True), p.shape)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bsz: int, n_heads: int,
-              prefix: Sequence[Tensor] = ()) -> Tensor:
-    """Multi-head softmax attention of (rows, d) projections, rows = bsz * seq; `prefix`
-    is () or a (key, value) pair of (bsz, n_heads, P, d_head) rows attended to first.
+def attention(q: Tensor, k: Tensor, v: Tensor, bsz: int, n_heads: int) -> Tensor:
+    """Multi-head softmax attention of (rows, d) projections. q holds bsz sequences
+    of rows; k and v hold bsz sequences each of as many rows or more, so that a
+    caller can put extra key/value rows (mam's prefix) in front of a sequence's own.
     The vjp recomputes the softmax weights from q and k, as FlashAttention does."""
-    prefix = tuple(prefix)
-    n_pre = prefix[0].shape[2] if prefix and prefix[0].ndim == 4 else 0
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[0] % bsz \
-            or q.shape[1] % n_heads or len(prefix) not in (0, 2) or any(
-                t.shape != (bsz, n_heads, n_pre, q.shape[1] // n_heads) for t in prefix):
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, prefix "
-                         f"{[t.shape for t in prefix]}, {bsz} sequences, {n_heads} heads")
+    if q.ndim != 2 or k.ndim != 2 or k.shape[1] != q.shape[1] or v.shape != k.shape \
+            or q.shape[0] % bsz or k.shape[0] % bsz or q.shape[1] % n_heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"{bsz} sequences, {n_heads} heads")
 
     def vjp(g, needs, ops):
         q4, k4, v4, p = _attention_weights(ops, ops.val(q), ops.val(k), ops.val(v), bsz,
-                                           n_heads, [ops.val(t) for t in prefix])
+                                           n_heads)
         g4 = _split_heads(ops, g, bsz, n_heads)
-        want = (needs[0], needs[1] or any(needs[3:4]), needs[2] or any(needs[4:]))
-        if want[0] or want[1]:      # back through softmax and the 1/sqrt(d_head) scale
+        if needs[0] or needs[1]:    # back through softmax and the 1/sqrt(d_head) scale
             gs = ops.scale_(_softmax_vjp(ops, ops.matmul(g4, ops.swap_last2(v4)), p),
                             1.0 / math.sqrt(g4.shape[-1]))
-        g4s = (ops.matmul(gs, k4) if want[0] else None,
-               ops.swap_last2(ops.matmul(ops.swap_last2(q4), gs)) if want[1] else None,
-               ops.matmul(ops.swap_last2(p), g4) if want[2] else None)
-        # k and v hold the prefix rows first
-        grads = tuple(ops.reshape(ops.permute(ops.slice_axis(g, 2, n_pre, n_pre + q4.shape[2])
-                                              if i and prefix else g, (0, 2, 1, 3)), q.shape)
-                      if needs[i] else None for i, g in enumerate(g4s))
-        return grads + tuple(ops.slice_axis(g4s[i], 2, 0, n_pre) if needs[i + 2] else None
-                             for i in (1, 2) if prefix)
+        g4s = (ops.matmul(gs, k4) if needs[0] else None,
+               ops.swap_last2(ops.matmul(ops.swap_last2(q4), gs)) if needs[1] else None,
+               ops.matmul(ops.swap_last2(p), g4) if needs[2] else None)
+        return tuple(None if g is None else ops.reshape(ops.permute(g, (0, 2, 1, 3)), x.shape)
+                     for g, x in zip(g4s, (q, k, v)))
 
-    value = _Arrays.attention(q.data, k.data, v.data, bsz, n_heads, [t.data for t in prefix])
-    return _from_op("attention", value, (q, k, v) + prefix, vjp)
+    return _from_op("attention", _Arrays.attention(q.data, k.data, v.data, bsz, n_heads),
+                    (q, k, v), vjp)
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -684,7 +670,7 @@ class Tape:
 # The parents whose values each op's vjp reads through `ops.val`, by op name.
 # Every other vjp uses only its incoming gradient and what the forward fixed.
 _VJP_READS = {"mul": (0, 1), "matmul": (0, 1), "tanh": (0,), "pow": (0,),
-              "affine": (0, 1), "softmax": (0,), "attention": (0, 1, 2, 3, 4),
+              "affine": (0, 1), "softmax": (0,), "attention": (0, 1, 2),
               "cross_entropy": (0,), "layernorm": (0, 1), "gelu": (0,)}
 
 

@@ -3,8 +3,9 @@ sweep / eval / inspect-mask subcommands.
 
 Every successful run leaves a re-runnable set of artifacts in the output
 directory: the exact config, the step metrics CSV, a summary JSON, and the
-final checkpoint. Sweep points execute as independent processes bounded by
---workers and are aggregated into one CSV by the coordinator.
+final checkpoint. Sweep jobs execute as independent processes, at most
+--workers and at most one per job, and are aggregated into one CSV by the
+coordinator.
 """
 
 from __future__ import annotations
@@ -331,6 +332,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
               seeds: int = 3, workers: int = 1) -> str:
     if seeds < 1 or workers < 1:
         raise ValueError(f"--seeds and --workers must be >= 1, got {seeds} and {workers}")
+    if cfg.optimizer.epochs < 1:    # no eval runs, so a row has no final accuracy
+        raise ValueError(f"a sweep needs optimizer.epochs >= 1, got {cfg.optimizer.epochs}")
     points = _sweep_points(cfg, axis, values)
     for i, (v, point) in enumerate(zip(values, points)):  # all before any job runs
         try:
@@ -340,6 +343,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
         if point in points[:i]:     # its runs would count as extra seeds of one point
             raise ValueError(f"sweep value {v!r}: repeats an earlier point")
     jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
+    workers = min(workers, len(jobs))   # the pool forks all its workers at once
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
 

@@ -146,9 +146,9 @@ def read_jsonl(path: str) -> Split:
             try:
                 rec = json.loads(line)
                 # exact types as for config values (a bool is no int), and int64 range
-                if type(rec["tokens"]) is not list or not all(
+                if type(rec["tokens"]) is not list or not rec["tokens"] or not all(
                         type(t) is int and abs(t) < 2**63 for t in rec["tokens"] + [rec["label"]]):
-                    raise ValueError("tokens must be a list of ints and label an int")
+                    raise ValueError("tokens must be a non-empty list of ints and label an int")
                 tokens.append(rec["tokens"])
                 labels.append(rec["label"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,

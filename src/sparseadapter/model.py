@@ -3,8 +3,11 @@
 A pre-layer-norm classifier stands in for a big pretrained backbone: token +
 position embeddings (`take_rows`), attention (one fused op) and FFN blocks on
 a (batch * seq, d) residual stream, a final norm, mean pooling, a linear head.
-Adapters hook in through ``adapter_sites``: q/v projections (lora), prefix
-keys/values (mam), after attention (houlsby) and at the FFN (houlsby, pfeiffer, mam).
+Adapters hook in through ``adapter_sites``. The forward computes each base
+itself, the q/v projection (lora), the attention output (houlsby) or the FFN
+output (houlsby, pfeiffer, mam), and a site returns ``site(base, x)`` = base +
+delta(x), with x the FFN's input for a parallel site and the base otherwise.
+mam's prefix site puts its key/value rows in front of each sequence's own.
 """
 
 from __future__ import annotations
@@ -130,14 +133,15 @@ class Model:
                                 self.param(f"{pre}.attn.ln.beta"))
             q, k, v = (self._project(ln1, f"{pre}.attn.{proj}") for proj in "qkv")
             site = self.adapter_sites.get(f"{pre}.attn.prefix")
-            kv = () if site is None else (site.key_heads(bsz), site.value_heads(bsz))
-            attn_out = ad.affine(ad.attention(q, k, v, bsz, cfg.n_heads, kv),
+            if site is not None:
+                k, v = site.key_heads(k, bsz), site.value_heads(v, bsz)
+            attn_out = ad.affine(ad.attention(q, k, v, bsz, cfg.n_heads),
                                  self.param(f"{pre}.attn.o.weight"),
                                  self.param(f"{pre}.attn.o.bias"))
 
             site = self.adapter_sites.get(f"{pre}.attn.adapter")
             if site is not None:
-                attn_out = site(attn_out)
+                attn_out = site(attn_out, attn_out)
             x = ad.add(x, attn_out)
 
             ln2 = ad.layer_norm(x, self.param(f"{pre}.ffn.ln.gamma"),
@@ -148,23 +152,18 @@ class Model:
                             self.param(f"{pre}.ffn.fc2.bias"))
 
             site = self.adapter_sites.get(f"{pre}.ffn.adapter")
-            if site is None:
-                out = ffn
-            elif getattr(site, "parallel", False):
-                out = ad.add(ffn, site.delta(ln2))
-            else:
-                out = site(ffn)
-            x = ad.add(x, out)
+            if site is not None:
+                ffn = site(ffn, ln2 if site.parallel else ffn)
+            x = ad.add(x, ffn)
 
         hf = ad.layer_norm(x, self.param("final_ln.gamma"), self.param("final_ln.beta"))
         pooled = ad.scale(ad.tsum(ad.reshape(hf, (bsz, seq, -1)), axes=(1,)), 1.0 / seq)
         return ad.affine(pooled, self.param("head.weight"), self.param("head.bias"))
 
     def _project(self, x2: Tensor, name: str) -> Tensor:
+        out = ad.affine(x2, self.param(f"{name}.weight"), self.param(f"{name}.bias"))
         lora = self.adapter_sites.get(f"{name}.lora")
-        if lora is not None:
-            return lora(x2)
-        return ad.affine(x2, self.param(f"{name}.weight"), self.param(f"{name}.bias"))
+        return out if lora is None else lora(out, x2)
 
     def loss(self, tokens: np.ndarray, labels: np.ndarray) -> Tensor:
         return ad.cross_entropy_logits(self.forward(tokens), labels)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,26 +103,21 @@ def score_magnitude(model: Model) -> ScoreMap:
     return ScoreMap("magnitude", {n: np.abs(w) for n, w in _prunable(model).items()})
 
 
-def _sum_grads(model: Model, batches, loss_fn) -> dict[str, np.ndarray]:
+def _sum_grads(model: Model, batches) -> dict[str, np.ndarray]:
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
     total: dict[str, np.ndarray] = {n: np.zeros(t.shape) for n, t in params.items()}
     for tokens, labels in batches:
-        grads = ad.backward(loss_fn(model, tokens, labels), params)
+        grads = ad.backward(model.loss(tokens, labels), params)
         for n in total:
             total[n] += grads[n].data
     return total
 
 
-def _default_loss(model: Model, tokens, labels) -> Tensor:
-    return model.loss(tokens, labels)
-
-
-def score_snip(model: Model, batches: Sequence, loss_fn: Callable = _default_loss,
-               snip_abs: bool = False) -> ScoreMap:
+def score_snip(model: Model, batches: Sequence, snip_abs: bool = False) -> ScoreMap:
     """Loss-sensitivity scores from gradients summed over the scoring batches."""
     if not batches:
         raise ValueError("snip scoring needs at least one batch")
-    grads = _sum_grads(model, batches, loss_fn)
+    grads = _sum_grads(model, batches)
     weights = _prunable(model)
     if snip_abs:
         scores = {n: np.abs(weights[n] * grads[n]) for n in weights}
@@ -131,17 +126,16 @@ def score_snip(model: Model, batches: Sequence, loss_fn: Callable = _default_los
     return ScoreMap("snip", scores)
 
 
-def score_grasp(model: Model, batches: Sequence,
-                loss_fn: Callable = _default_loss) -> ScoreMap:
+def score_grasp(model: Model, batches: Sequence) -> ScoreMap:
     """Gradient-flow scores from h = H g = sum_b H_b g, one batch's graph at a
     time; g, the summed gradient, must be complete before the first H_b g."""
     if not batches:
         raise ValueError("grasp scoring needs at least one batch")
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
-    direction = {n: Tensor(g) for n, g in _sum_grads(model, batches, loss_fn).items()}
+    direction = {n: Tensor(g) for n, g in _sum_grads(model, batches).items()}
     h = {n: np.zeros(t.shape) for n, t in params.items()}
     for tokens, labels in batches:
-        hb = ad.hvp(lambda p: loss_fn(model, tokens, labels), params, direction)
+        hb = ad.hvp(lambda p: model.loss(tokens, labels), params, direction)
         for n in h:
             h[n] += hb[n].data
     return ScoreMap("grasp", {n: params[n].data * h[n] for n in params})

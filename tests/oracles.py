@@ -122,8 +122,9 @@ def random_small_net(rng, with_softmax=True):
 def composed_forward(model, tokens):
     """The encoder forward pass as separate engine ops: a one-hot matmul
     embedding, a (bsz, seq, d) residual stream and attention as the 13 ops
-    from head split to head merge. `Model.forward` fuses these into
-    `take_rows` and `attention`, and must give the same bits."""
+    from head split to head merge, with mam's prefix joined to the key and value
+    heads. `Model.forward` fuses these into `take_rows` and `attention`, joins
+    the prefix to the rows of each sequence instead, and must give the same bits."""
     cfg = model.cfg
     tokens = np.asarray(tokens)
     bsz, seq = tokens.shape
@@ -142,15 +143,19 @@ def composed_forward(model, tokens):
     def heads4(t):
         return ad.permute(ad.reshape(t, (bsz, seq, heads, dh)), (0, 2, 1, 3))
 
+    def prefix_heads(t):
+        p = ad.permute(ad.reshape(t, (1, t.shape[0], heads, dh)), (0, 2, 1, 3))
+        return ad.broadcast_to(p, (bsz,) + p.shape[1:])
+
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         ln1 = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param(f"{pre}.attn.ln.gamma"),
                             model.param(f"{pre}.attn.ln.beta"))
         q4, k4, v4 = (heads4(model._project(ln1, f"{pre}.attn.{p}")) for p in "qkv")
-        prefix = model.adapter_sites.get(f"{pre}.attn.prefix")
-        if prefix is not None:
-            k4 = ad.concat([prefix.key_heads(bsz), k4], axis=2)
-            v4 = ad.concat([prefix.value_heads(bsz), v4], axis=2)
+        if f"{pre}.attn.prefix.key" in model.groups:
+            # mam: (bsz, heads, P, dh) prefix heads in front of each sequence's own
+            k4, v4 = (ad.concat([prefix_heads(model.param(f"{pre}.attn.prefix.{kv}")), t4],
+                                axis=2) for kv, t4 in (("key", k4), ("value", v4)))
         scores = ad.scale(ad.matmul(q4, ad.swap_last2(k4)), 1.0 / math.sqrt(dh))
         ctx = ad.matmul(ad.softmax_last(scores), v4)
         attn_out = ad.affine(ad.reshape(ad.permute(ctx, (0, 2, 1, 3)), (rows, d)),
@@ -158,7 +163,7 @@ def composed_forward(model, tokens):
                              model.param(f"{pre}.attn.o.bias"))
         site = model.adapter_sites.get(f"{pre}.attn.adapter")
         if site is not None:
-            attn_out = site(attn_out)
+            attn_out = ad.add(attn_out, site.delta(attn_out))
         x3 = ad.add(x3, ad.reshape(attn_out, (bsz, seq, d)))
 
         ln2 = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param(f"{pre}.ffn.ln.gamma"),
@@ -172,7 +177,7 @@ def composed_forward(model, tokens):
         elif site.parallel:
             out = ad.add(ffn, site.delta(ln2))
         else:
-            out = site(ffn)
+            out = ad.add(ffn, site.delta(ffn))
         x3 = ad.add(x3, ad.reshape(out, (bsz, seq, d)))
 
     hf = ad.layer_norm(ad.reshape(x3, (rows, d)), model.param("final_ln.gamma"),

@@ -109,7 +109,7 @@ def test_zero_up_projection_is_identity():
     a.up_w.data[...] = 0.0
     a.up_b.data[...] = 0.0
     x = Tensor(rng.normal(0, 1, (5, 8)))
-    out = a(x)
+    out = a(x, x)
     assert np.array_equal(out.data, x.data)
 
 
@@ -118,7 +118,8 @@ def test_zero_input_zero_biases_gives_zero():
     a = _rand_bottleneck(rng, 8, 3)
     a.down_b.data[...] = 0.0
     a.up_b.data[...] = 0.0
-    out = a(Tensor(np.zeros((4, 8))))
+    zeros = Tensor(np.zeros((4, 8)))
+    out = a(zeros, zeros)
     assert np.all(out.data == 0.0)
 
 
@@ -132,7 +133,7 @@ def test_bottleneck_matches_straight_line_reference():
     h = 0.5 * h * (1.0 + np.tanh(GELU_C0 * (h + GELU_C1 * h ** 3)))
     expected = x + h @ a.up_w.data + a.up_b.data
 
-    out = a(Tensor(x))
+    out = a(Tensor(x), Tensor(x))
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
@@ -143,12 +144,11 @@ def test_lora_matches_reference_and_is_linear():
     base_b = rng.normal(0, 0.2, d)
     A = rng.normal(0, 0.2, (d, r))
     B = rng.normal(0, 0.2, (r, d))
-    proj = LoraProjection(Tensor(base_w), Tensor(base_b),
-                          Tensor(A, requires_grad=True),
-                          Tensor(B, requires_grad=True), alpha, r)
+    proj = LoraProjection(Tensor(A, requires_grad=True), Tensor(B, requires_grad=True),
+                          alpha, r)
     x = rng.normal(0, 1, (6, d))
     expected = x @ base_w + base_b + (alpha / r) * (x @ A @ B)
-    out = proj(Tensor(x))
+    out = proj(ad.affine(Tensor(x), Tensor(base_w), Tensor(base_b)), Tensor(x))
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
     # the adapter delta is linear in x

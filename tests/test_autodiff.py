@@ -2,7 +2,6 @@
 contracts, the two vjp backends, tape topology, determinism."""
 
 import gc
-import weakref
 import zlib
 
 import numpy as np
@@ -133,13 +132,12 @@ def _primitive_case(case):
         p = {"w": _rand(rng, 5, 4)}
         fn = lambda q: ad.tsum(ad.mul(ad.take_rows(q["w"], np.array([3, 0, 3, 1, 3, 0])), cc))
     elif case.startswith("attention"):
-        # 2 sequences of 3 rows, 2 heads of width 2, and 3 prefix rows per head
+        # 2 sequences of 3 query rows, 2 heads of width 2; with a prefix, each
+        # sequence has 5 key/value rows, as 2 prefix rows in front of 3 make them
         cc = ad.Tensor(rng.uniform(-1, 1, (6, 4)))
-        p = {n: _rand(rng, 6, 4) for n in "qkv"}
-        if case == "attention_prefix":
-            p.update(pk=_rand(rng, 2, 2, 3, 2), pv=_rand(rng, 2, 2, 3, 2))
-        fn = lambda q: ad.tsum(ad.mul(ad.attention(
-            q["q"], q["k"], q["v"], 2, 2, [q[n] for n in ("pk", "pv") if n in q]), cc))
+        kv_rows = 10 if case == "attention_prefix" else 6
+        p = {"q": _rand(rng, 6, 4), "k": _rand(rng, kv_rows, 4), "v": _rand(rng, kv_rows, 4)}
+        fn = lambda q: ad.tsum(ad.mul(ad.attention(q["q"], q["k"], q["v"], 2, 2), cc))
     else:
         raise AssertionError(case)
     return fn, p, rng
@@ -238,18 +236,17 @@ def test_shape_errors():
         with pytest.raises(ad.ShapeError):
             ad.affine(x, w, ad.Tensor(bias))
     x = ad.Tensor(np.ones((6, 4)))
-    pre = ad.Tensor(np.ones((2, 2, 3, 2)))
-    for q, k, bsz, heads, prefix in [
-            (x, ad.Tensor(np.ones((6, 2))), 2, 2, ()),      # k differs from q
-            (x, x, 4, 2, ()),                               # rows not bsz * seq
-            (x, x, 2, 3, ()),                               # d not n_heads * d_head
-            (ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((2, 3, 4))), 2, 2, ()),
-            (x, x, 2, 2, (pre,)),                           # prefix without values
-            (x, x, 2, 2, (pre, ad.Tensor(np.ones((2, 2, 4, 2))))),  # prefix lengths differ
-            (x, x, 2, 2, (ad.Tensor(np.ones((1, 2, 3, 2))),) * 2),  # prefix for 1 sequence
-            (x, x, 2, 2, (ad.Tensor(np.ones((2, 2, 3))),) * 2)]:    # prefix not 4-D
+    more = ad.Tensor(np.ones((10, 4)))
+    for q, k, v, bsz, heads in [
+            (x, ad.Tensor(np.ones((6, 2))), ad.Tensor(np.ones((6, 2))), 2, 2),  # k width
+            (x, x, x, 4, 2),                                # q rows not bsz * seq
+            (x, x, x, 2, 3),                                # d not n_heads * d_head
+            (x, ad.Tensor(np.ones((9, 4))), ad.Tensor(np.ones((9, 4))), 2, 2),  # k rows
+            (x, more, x, 2, 2),                             # v rows differ from k's
+            (x, more, ad.Tensor(np.ones((10, 2))), 2, 2),   # v width differs from k's
+            (ad.Tensor(np.ones((2, 3, 4))),) * 3 + (2, 2)]:
         with pytest.raises(ad.ShapeError):
-            ad.attention(q, k, k, bsz, heads, prefix)
+            ad.attention(q, k, v, bsz, heads)
     for w, idx in [(x, [0, 6]), (x, [-1]), (x, [[0]]), (ad.Tensor(np.ones(4)), [0])]:
         with pytest.raises(ad.ShapeError):
             ad.take_rows(w, np.array(idx))
@@ -543,12 +540,17 @@ def test_tape_is_topological():
 def test_graph_is_freed_without_the_cycle_collector():
     # a vjp that closed over its own op's output would make each graph a
     # reference cycle, alive until the cyclic collector runs
+    def live_tensors():
+        return sum(isinstance(o, ad.Tensor) for o in gc.get_objects())
+
     w = ad.Tensor(np.full((2, 3), 0.1), requires_grad=True)
+    gc.collect()
     gc.disable()
     try:
         for op in (ad.tanh, ad.softmax_last):
-            ref = weakref.ref(op(w))
-            assert ref() is None, op.__name__
+            before = live_tensors()
+            op(w)
+            assert live_tensors() == before, op.__name__
     finally:
         gc.enable()
 

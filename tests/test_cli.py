@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from sparseadapter import cli
 from sparseadapter.cli import (ExperimentConfig, cmd_sweep, load_config, main,
                                override_seeds, parse_config, serialize_config)
 
@@ -363,8 +364,9 @@ def test_sweep_divergence_exit_code(tmp_path, capsys, workers):
         tmp_path, optimizer={"peak_lr": 1e30, "epochs": 2, "batch_size": 16,
                              "seed": 0})
     out = str(tmp_path / "sweep")
+    # two jobs, so that two workers do start a pool
     assert main(["sweep", "--config", config, "--out", out,
-                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "1",
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "2",
                  "--workers", workers]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged at step")
@@ -397,7 +399,7 @@ def test_sweep_job_non_finite_exit_code(tmp_path, capsys):
                           prune={"method": "snip", "s": 0.4, "seed": 0})
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config, "--out", out,
-                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "1",
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "2",
                  "--workers", "2"]) == 3
     assert capsys.readouterr().err.startswith("error: non-finite values")
     assert "# aborted: NumericError" in open(os.path.join(out, "sweep.csv")).read()
@@ -478,6 +480,46 @@ def test_sweep_seeds_and_workers_must_be_positive(tmp_path, capsys, flag, value)
                  "sparsity", "--values", "0.4", *counts]) == 1
     assert capsys.readouterr().err.startswith("error: --seeds and --workers must be >= 1")
     assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+def test_sweep_with_zero_epochs_is_an_error_line(tmp_path, capsys):
+    # a sweep row reports final eval accuracy, and 0 epochs run no eval
+    config = write_config(tmp_path, optimizer={"peak_lr": 1e-3, "epochs": 0,
+                                               "batch_size": 16, "seed": 0})
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out, "--sweep-axis",
+                 "sparsity", "--values", "0.2", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == "error: a sweep needs optimizer.epochs >= 1, got 0\n"
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+@pytest.mark.parametrize("workers,seeds,pools", [("64", "2", [2]), ("2", "3", [2]),
+                                                 ("3", "1", [])])
+def test_sweep_workers_capped_at_job_count(tmp_path, monkeypatch, workers, seeds, pools):
+    # a stand-in pool that records its size and runs the jobs in this process;
+    # one job runs on the serial path, with no pool at all
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", "sparsity",
+                 "--values", "0.4", "--seeds", seeds, "--workers", workers]) == 0
+    assert made == pools
+    assert read_sweep(os.path.join(out, "sweep.csv"))[1][0]["seeds"] == seeds
 
 
 def test_sweep_kept_fraction_tracks_sparsity(tmp_path):

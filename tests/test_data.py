@@ -132,9 +132,11 @@ def test_bad_records_rejected(tmp_path):
     '{"tokens": "12", "label": 0}', '{"tokens": [1, 2], "label": true}',
     '{"tokens": [1, 2.5], "label": 0}', '{"tokens": [1, 2], "label": 7.9}',
     '{"tokens": [1, false], "label": 0}', '{"tokens": [1, 1e400], "label": 0}',
-    '{"tokens": [1, 99999999999999999999], "label": 0}', '[1, 2]'])
+    '{"tokens": [1, 99999999999999999999], "label": 0}', '[1, 2]',
+    '{"tokens": [], "label": 0}'])
 def test_records_of_the_wrong_type_rejected(tmp_path, record):
-    # no string, bool or float is read as an int, and an int past int64 is no traceback
+    # no string, bool or float is read as an int, an int past int64 is no traceback,
+    # and no record is empty (a file of them would reach the model as a 0-wide batch)
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as f:
         f.write('{"tokens": [1, 2], "label": 0}\n')

@@ -21,9 +21,11 @@ from oracles import fd_hvp, rel_err
 
 
 class StubModel:
-    """Bare parameter registry, enough for the score functions."""
+    """Bare parameter registry, enough for the score functions; `loss_fn`, if
+    given, is the test's own loss(model, tokens, labels)."""
 
-    def __init__(self, **weights):
+    def __init__(self, loss_fn=None, **weights):
+        self.loss_fn = loss_fn
         self.groups = {}
         for name, arr in weights.items():
             arr = np.asarray(arr, dtype=np.float64)
@@ -35,6 +37,9 @@ class StubModel:
 
     def param(self, name):
         return self.groups[name].tensor
+
+    def loss(self, tokens, labels):
+        return self.loss_fn(self, tokens, labels)
 
 
 def adapter_model(r=4, d_model=16, n_layers=2, seed=0, variant="houlsby"):
@@ -126,14 +131,13 @@ def test_magnitude_mask_invariant_to_positive_scaling():
 def test_snip_scalar_analytic():
     # loss = (w*x - t)^2 with w=1, x=1, t=0: g = 2, raw sensitivity -w*g = -2,
     # canonical importance w*g = 2
-    m = StubModel(w=np.array([1.0]))
-
     def loss_fn(model, tokens, labels):
         w = model.param("w")
         err = ad.add_scalar(ad.scale(w, 1.0), -0.0)
         return ad.tsum(ad.mul(err, err))
 
-    scores = score_snip(m, [(None, None)], loss_fn)
+    m = StubModel(loss_fn, w=np.array([1.0]))
+    scores = score_snip(m, [(None, None)])
     assert scores.scores["w"][0] == pytest.approx(2.0)
 
 
@@ -157,13 +161,12 @@ def test_snip_batch_doubling_scales_scores_but_not_mask():
 
 
 def test_snip_abs_flag():
-    m = StubModel(w=np.array([1.0, -1.0]))
-
     def loss_fn(model, tokens, labels):
         return ad.tsum(model.param("w"))   # g = 1 for both
 
-    plain = score_snip(m, [(None, None)], loss_fn).scores["w"]
-    absolute = score_snip(m, [(None, None)], loss_fn, snip_abs=True).scores["w"]
+    m = StubModel(loss_fn, w=np.array([1.0, -1.0]))
+    plain = score_snip(m, [(None, None)]).scores["w"]
+    absolute = score_snip(m, [(None, None)], snip_abs=True).scores["w"]
     assert np.array_equal(plain, [1.0, -1.0])
     assert np.array_equal(absolute, [1.0, 1.0])
 
@@ -176,23 +179,21 @@ def test_grasp_quadratic_analytic():
     # loss = a/2 * sum(w^2): g = a w, h = H g = a^2 w, importance w*h = a^2 w^2
     a = 3.0
     w0 = np.array([1.0, -2.0, 0.5])
-    m = StubModel(w=w0)
-
     def loss_fn(model, tokens, labels):
         w = model.param("w")
         return ad.scale(ad.tsum(ad.mul(w, w)), a / 2.0)
 
-    scores = score_grasp(m, [(None, None)], loss_fn)
+    m = StubModel(loss_fn, w=w0)
+    scores = score_grasp(m, [(None, None)])
     assert np.allclose(scores.scores["w"], a * a * w0 * w0, rtol=1e-12)
 
 
 def test_grasp_linear_loss_gives_zero_scores_and_legal_mask():
-    m = StubModel(w=np.arange(1.0, 11.0))
-
     def loss_fn(model, tokens, labels):
         return ad.tsum(model.param("w"))
 
-    scores = score_grasp(m, [(None, None)], loss_fn)
+    m = StubModel(loss_fn, w=np.arange(1.0, 11.0))
+    scores = score_grasp(m, [(None, None)])
     assert np.all(scores.scores["w"] == 0.0)
     mask = prune_by_percentile(scores, 0.5)
     assert mask.kept() == 5
@@ -201,13 +202,15 @@ def test_grasp_linear_loss_gives_zero_scores_and_legal_mask():
 
 def test_grasp_matches_fd_of_gradients_on_mlp():
     rng = np.random.default_rng(31)
-    m = StubModel(w1=rng.uniform(-1, 1, (2, 3)), w2=rng.uniform(-1, 1, (3, 1)))
+    w1, w2 = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (3, 1))
     x = Tensor(rng.uniform(-1, 1, (4, 2)))
 
     def loss_fn(model, tokens, labels):
         h = ad.tanh(ad.matmul(x, model.param("w1")))
         out = ad.matmul(h, model.param("w2"))
         return ad.tsum(ad.mul(out, out))
+
+    m = StubModel(loss_fn, w1=w1, w2=w2)
 
     params = {n: g.tensor for n, g in m.prunable_groups().items()}
     fn = lambda p: loss_fn(m, None, None)
@@ -218,7 +221,7 @@ def test_grasp_matches_fd_of_gradients_on_mlp():
     for name in params:
         assert rel_err(hv[name].data, fd[name]) < 1e-4
 
-    scores = score_grasp(m, [(None, None)], loss_fn)
+    scores = score_grasp(m, [(None, None)])
     for name in params:
         assert np.allclose(scores.scores[name],
                            params[name].data * hv[name].data, rtol=1e-10)
@@ -425,7 +428,7 @@ def test_apply_zeros_one_group_makes_adapter_identity():
     adapter = m.adapter_sites[site]
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(0, 1, (5, 16)))
-    assert np.array_equal(adapter(x).data, x.data)
+    assert np.array_equal(adapter(x, x).data, x.data)
 
 
 def test_apply_mask_zeroes_masked_positions():

@@ -1,0 +1,35 @@
+"""The benchmark's traced run wraps the adapter-site methods and module
+functions by name, so a renamed one is a KeyError there. This runs one
+forward and backward per variant under its tracer."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import sparseadapter.autodiff as ad
+import sparseadapter.cli  # noqa: F401  (the tracer wraps every module)
+from sparseadapter.adapters import VARIANTS, AdapterSpec, insert_adapters
+from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_tracer_times_every_variant_adapter_sites(tmp_path):
+    cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=4, d_ff=32, n_layers=1,
+                        max_seq_len=8, n_classes=4)
+    rng = np.random.default_rng(0)
+    tokens, labels = rng.integers(0, 50, (2, 6)), rng.integers(0, 4, 2)
+    tracer = spans.Tracer(tmp_path)
+    with tracer.installed():
+        for variant in VARIANTS:
+            m = build_encoder(cfg, 0)
+            insert_adapters(m, AdapterSpec(variant=variant, r=4), 1)
+            freeze_backbone(m)
+            params = {n: g.tensor for n, g in m.trainable_groups().items()}
+            ad.backward(m.loss(tokens, labels), params)
+    tracer.dump(tmp_path / "main.npz")
+    detail = tracer.reduce(1)["detail"]
+    for variant in VARIANTS:
+        assert detail[f"adapters.{variant}.site_ms"]["n"] >= 1, variant
