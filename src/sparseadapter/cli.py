@@ -74,6 +74,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.adapter.validate(self.encoder.d_model)
+        seeds = {"seed": self.seed, "prune.seed": self.prune.seed,
+                 "optimizer.seed": self.optimizer.seed}
+        if self.data.task is not None:
+            seeds["data.task.seed"] = self.data.task.seed
+        for name, seed in seeds.items():    # numpy refuses < 0; SADM stores an int64
+            if not 0 <= seed < 2**63:
+                raise ValueError(f"{name} must be in [0, 2**63), got {seed}")
 
 
 def _from_dict(cls, payload, where: str):
@@ -144,7 +151,9 @@ def _map_seeds(cfg: ExperimentConfig, fn) -> ExperimentConfig:
 
 def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Point the model init, prune, and shuffle seeds at one value."""
-    return _map_seeds(cfg, lambda _: seed)
+    cfg = _map_seeds(cfg, lambda _: seed)
+    cfg.validate()
+    return cfg
 
 
 def shift_seeds(cfg: ExperimentConfig, run_index: int) -> ExperimentConfig:
@@ -259,37 +268,33 @@ def cmd_inspect_mask(path: str) -> None:
 
 # -- sweep ------------------------------------------------------------------
 
-def _sweep_points(cfg: ExperimentConfig, axis: str,
-                  values: list[str]) -> list[ExperimentConfig]:
-    """One config per point of the sweep axis."""
-    def point(method: str, s: float, r: int) -> ExperimentConfig:
-        return replace(cfg, adapter=replace(cfg.adapter, r=r),
-                       prune=replace(cfg.prune, method=method, s=s))
-
+def _sweep_point(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
+    """The checked config of one point of the sweep axis."""
+    method, s, r = cfg.prune.method, cfg.prune.s, cfg.adapter.r
     if axis == "sparsity":
-        return [point(cfg.prune.method, float(v), cfg.adapter.r) for v in values]
-    if axis == "method":
-        return [point(v, cfg.prune.s, cfg.adapter.r) for v in values]
-    if axis == "large-sparse":
-        grid = [LargeSparseConfig(cfg.adapter.r, int(v)) for v in values]
-        return [point(cfg.prune.method, ls.s, ls.r) for ls in grid]
-    raise ValueError(f"unknown sweep axis '{axis}'")
+        s = float(value)
+    elif axis == "method":
+        method = value
+    elif axis == "large-sparse":
+        ls = LargeSparseConfig(r, int(value))
+        s, r = ls.s, ls.r
+    else:
+        raise ValueError(f"unknown sweep axis '{axis}'")
+    return parse_config(dataclasses.asdict(
+        replace(cfg, adapter=replace(cfg.adapter, r=r),
+                prune=replace(cfg.prune, method=method, s=s))))
 
 
-def _run_sweep_job(cfg: ExperimentConfig) -> dict:
-    """One (point, seed) training run; executed in a worker process."""
+def _run_sweep_job(cfg: ExperimentConfig) -> tuple[float, float, int]:
+    """One (point, seed) training run; executed in a worker process. Returns
+    the kept fraction, the final eval accuracy and the first step that
+    reached 90% of it."""
     model = build_model(cfg)
     dataset = load_data(cfg)
     mask = make_mask(cfg, model, dataset)
     metrics = train(model, dataset, cfg.optimizer, mask=mask)
     final = metrics.final_eval_accuracy
-    sts = metrics.steps_to_accuracy(0.9 * final) if final is not None else None
-    return {
-        "method": cfg.prune.method, "s": cfg.prune.s, "r": cfg.adapter.r,
-        "kept_fraction": metrics.kept_fraction,
-        "final_accuracy": final,
-        "steps_to_threshold": sts if sts is not None else metrics.total_steps,
-    }
+    return metrics.kept_fraction, final, metrics.steps_to_accuracy(0.9 * final)
 
 
 SWEEP_COLUMNS = ["method", "s", "r", "kept_fraction", "seeds",
@@ -297,33 +302,27 @@ SWEEP_COLUMNS = ["method", "s", "r", "kept_fraction", "seeds",
                  "steps_to_threshold_mean", "steps_to_threshold_std"]
 
 
-def _aggregate_rows(results: list[dict]) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
-    for res in results:
-        groups.setdefault((res["method"], res["s"], res["r"]), []).append(res)
+def _sweep_rows(points: list[ExperimentConfig], results: list[tuple],
+                seeds: int) -> list[tuple]:
+    """One row of SWEEP_COLUMNS per point whose runs all finished. `results`
+    is in job order, which holds each point's `seeds` runs in a row."""
+    ddof = 1 if seeds > 1 else 0
     rows = []
-    for key, runs in groups.items():
-        accs = np.array([r["final_accuracy"] for r in runs])
-        stss = np.array([r["steps_to_threshold"] for r in runs], dtype=np.float64)
-        ddof = 1 if len(runs) > 1 else 0
-        rows.append({
-            "method": key[0], "s": key[1], "r": key[2],
-            "kept_fraction": runs[0]["kept_fraction"],
-            "seeds": len(runs),
-            "final_acc_mean": float(accs.mean()),
-            "final_acc_std": float(accs.std(ddof=ddof)),
-            "steps_to_threshold_mean": float(stss.mean()),
-            "steps_to_threshold_std": float(stss.std(ddof=ddof)),
-        })
+    for i, point in enumerate(points[:len(results) // seeds]):
+        kept, accs, stss = zip(*results[i * seeds:(i + 1) * seeds])
+        accs, stss = np.array(accs), np.array(stss, dtype=np.float64)
+        rows.append((point.prune.method, point.prune.s, point.adapter.r, kept[0],
+                     seeds, float(accs.mean()), float(accs.std(ddof=ddof)),
+                     float(stss.mean()), float(stss.std(ddof=ddof))))
     return rows
 
 
-def _write_sweep_csv(path: str, rows: list[dict], aborted: str | None = None) -> None:
+def _write_sweep_csv(path: str, rows: list[tuple], aborted: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in SWEEP_COLUMNS) + "\n")
+            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
         if aborted:
             f.write(f"# aborted: {aborted}\n")
 
@@ -334,20 +333,21 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
         raise ValueError(f"--seeds and --workers must be >= 1, got {seeds} and {workers}")
     if cfg.optimizer.epochs < 1:    # no eval runs, so a row has no final accuracy
         raise ValueError(f"a sweep needs optimizer.epochs >= 1, got {cfg.optimizer.epochs}")
-    points = _sweep_points(cfg, axis, values)
-    for i, (v, point) in enumerate(zip(values, points)):  # all before any job runs
+    points: list[ExperimentConfig] = []
+    for v in values:                # all before any job runs
         try:
-            parse_config(dataclasses.asdict(point))
+            point = _sweep_point(cfg, axis, v)
+            if point in points:     # its runs would count as extra seeds of one point
+                raise ValueError("repeats an earlier point")
         except ValueError as exc:
             raise ValueError(f"sweep value {v!r}: {exc}") from None
-        if point in points[:i]:     # its runs would count as extra seeds of one point
-            raise ValueError(f"sweep value {v!r}: repeats an earlier point")
+        points.append(point)
     jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
     workers = min(workers, len(jobs))   # the pool forks all its workers at once
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
 
-    results: list[dict] = []
+    results: list[tuple] = []
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -357,11 +357,10 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
             for job in jobs:
                 results.append(_run_sweep_job(job))
     except Exception as exc:
-        complete = [row for row in _aggregate_rows(results) if row["seeds"] == seeds]
-        _write_sweep_csv(csv_path, complete,
+        _write_sweep_csv(csv_path, _sweep_rows(points, results, seeds),
                          aborted=f"{type(exc).__name__}: {exc}")
         raise
-    _write_sweep_csv(csv_path, _aggregate_rows(results))
+    _write_sweep_csv(csv_path, _sweep_rows(points, results, seeds))
     print(f"wrote {csv_path} ({len(points)} points x {seeds} seeds)")
     return csv_path
 

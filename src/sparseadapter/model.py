@@ -94,6 +94,8 @@ class Model:
 
     def set_trainable(self, name: str, trainable: bool) -> None:
         pg = self.groups[name]
+        if pg.prunable and not trainable:
+            raise ValueError(f"group '{name}': prunable implies trainable")
         pg.trainable = trainable
         pg.tensor.requires_grad = trainable
 

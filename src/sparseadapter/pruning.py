@@ -62,7 +62,9 @@ class PruneMask:
     masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for arr in self.masks.values():
+        for name, arr in self.masks.items():
+            if arr.size == 0:       # every prunable weight has an element
+                raise ValueError(f"mask group '{name}' has no elements")
             arr.setflags(write=False)
 
     def total(self) -> int:
@@ -287,22 +289,17 @@ def compute_mask(model: Model, method: str, s: float, seed: int,
 # ---------------------------------------------------------------------------
 
 def save_mask(mask: PruneMask, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(MASK_MAGIC)
-        f.write(struct.pack("<B", MASK_VERSION))
-        tag = mask.method.encode("utf-8")
-        f.write(struct.pack("<B", len(tag)))
-        f.write(tag)
-        f.write(struct.pack("<d", mask.s))
-        f.write(struct.pack("<q", -1 if mask.seed is None else mask.seed))
-        f.write(struct.pack("<I", len(mask.masks)))
-        for name in sorted(mask.masks):
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            m = mask.masks[name]
-            f.write(struct.pack("<Q", m.size))
-            f.write(np.packbits(m.reshape(-1), bitorder="little").tobytes())
+    tag = mask.method.encode("utf-8")
+    parts = [MASK_MAGIC, struct.pack("<BB", MASK_VERSION, len(tag)), tag,
+             struct.pack("<dqI", mask.s, -1 if mask.seed is None else mask.seed,
+                         len(mask.masks))]
+    for name in sorted(mask.masks):
+        raw = name.encode("utf-8")
+        m = mask.masks[name]
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<Q", m.size),
+                  np.packbits(m.reshape(-1), bitorder="little").tobytes()]
+    with open(path, "wb") as f:     # packed first: a bad field leaves no partial file
+        f.write(b"".join(parts))
 
 
 def load_mask(path: str) -> PruneMask:

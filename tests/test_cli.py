@@ -96,6 +96,32 @@ def test_mistyped_value_is_an_error_line(tmp_path, capsys, section, key, value):
     assert capsys.readouterr().err.startswith(f"error: {where}: expected ")
 
 
+@pytest.mark.parametrize("where,seed", [
+    ("prune.seed", 2**63), ("prune.seed", -1), ("optimizer.seed", -1),
+    ("data.task.seed", -1), ("seed", 2**63), ("--seed", 2**63), ("--seed", -1),
+])
+def test_seed_outside_int64_is_an_error_line(tmp_path, capsys, where, seed):
+    # numpy takes no negative seed, and a mask file stores the seed as an int64
+    # whose -1 means "no seed"; the flag sets `seed` first
+    payload = small_config(tmp_path)
+    flags = ["--seed", str(seed)] if where == "--seed" else []
+    if not flags:
+        *path, key = where.split(".")
+        node = payload
+        for step in path:
+            node = node[step]
+        node[key] = seed
+    config = str(tmp_path / "config.json")
+    with open(config, "w") as f:
+        json.dump(payload, f)
+    out = str(tmp_path / "run")
+    for command in ("prune", "train"):
+        assert main([command, "--config", config, "--out", out, *flags]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {where.lstrip('-')} must be in [0, 2**63), got {seed}\n"
+    assert not os.path.exists(out)
+
+
 def test_override_seeds(tmp_path):
     cfg = parse_config(small_config(tmp_path))
     cfg2 = override_seeds(cfg, 42)
@@ -456,10 +482,14 @@ def test_sweep_failure_preserves_partial_csv(tmp_path):
                                          ("large-sparse", "1,2,4"),
                                          ("sparsity", "0.4,0.40"),
                                          ("method", "snip,random,snip"),
-                                         ("large-sparse", "2,2")])
+                                         ("large-sparse", "2,2"),
+                                         ("large-sparse", "1.5"),
+                                         ("large-sparse", "0"),
+                                         ("sparsity", "x")])
 def test_sweep_bad_point_stops_before_any_job(tmp_path, capsys, axis, values):
     # 1.5 is no sparsity; k=4 takes r=4 to 16, which is not < d_model=16; a
-    # repeated point would run one config twice and report it as two seeds
+    # repeated point would run one config twice and report it as two seeds;
+    # k is a whole number >= 1, and "x" parses as no number at all
     config = write_config(tmp_path)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", axis,

@@ -173,6 +173,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
+def test_checkpoint_cannot_freeze_a_prunable_group(tmp_path):
+    m = small_model(0)
+    insert_adapters(m, AdapterSpec(variant="houlsby", r=4), seed=1)
+    freeze_backbone(m)
+    name = "layer0.attn.adapter.down.weight"
+    m.groups[name].trainable = False    # a state only a hand-made file holds
+    path = str(tmp_path / "model.sacp")
+    save_checkpoint(m, path)
+    other = small_model(0)
+    insert_adapters(other, AdapterSpec(variant="houlsby", r=4), seed=1)
+    with pytest.raises(ValueError, match=f"group '{name}': prunable implies trainable"):
+        load_checkpoint(other, path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = str(tmp_path / "bad.sacp")
     with open(path, "wb") as f:

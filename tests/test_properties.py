@@ -9,6 +9,7 @@ import json
 import os
 import pathlib
 import resource
+import struct
 import tempfile
 
 import numpy as np
@@ -227,6 +228,9 @@ def _cli_files() -> tuple[bytes, bytes]:
 
 
 CLI_CHECKPOINT, CLI_MASK = _cli_files()
+# one group 'g' of 0 elements, which no prunable weight has
+EMPTY_GROUP_MASK = (b"SADM\x01\x06random" + struct.pack("<dqI", 0.4, 0, 1)
+                    + struct.pack("<H", 1) + b"g" + struct.pack("<Q", 0))
 
 
 @contextlib.contextmanager
@@ -270,6 +274,7 @@ def overwritten(valid: bytes):
 @given(leaf=st.sampled_from(CLI_LEAVES), text=JSON_VALUES.map(json.dumps))
 @example(leaf=("encoder", "d_model"), text=DEEP)
 @example(leaf=("optimizer", "beta2"), text="1.0")
+@example(leaf=("prune", "seed"), text="9223372036854775808")
 def test_prune_exit_code_for_any_config_value(leaf, text, scratch):
     payload = json.loads(json.dumps(CLI_CONFIG))
     node = payload
@@ -297,6 +302,7 @@ def test_eval_exit_code_for_any_checkpoint_bytes(blob, scratch):
 @settings(deadline=None, max_examples=300)
 @given(blob=with_header(b"SADM") | overwritten(CLI_MASK))
 @example(blob=CLI_MASK)
+@example(blob=EMPTY_GROUP_MASK)
 def test_inspect_mask_exit_code_for_any_bytes(blob, scratch):
     mask = scratch / "any.sadm"
     mask.write_bytes(blob)

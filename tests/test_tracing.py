@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps the adapter-site methods and module
-functions by name, so a renamed one is a KeyError there. This runs one
-forward and backward per variant under its tracer."""
+functions by name: a renamed site method is a KeyError there, and a renamed
+private boundary is skipped without a word. This runs one forward and
+backward per variant under its tracer, and checks both private boundaries."""
 
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import sparseadapter.autodiff as ad
-import sparseadapter.cli  # noqa: F401  (the tracer wraps every module)
+from sparseadapter import cli, pruning  # the tracer wraps every module
 from sparseadapter.adapters import VARIANTS, AdapterSpec, insert_adapters
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
 
@@ -33,3 +34,10 @@ def test_tracer_times_every_variant_adapter_sites(tmp_path):
     detail = tracer.reduce(1)["detail"]
     for variant in VARIANTS:
         assert detail[f"adapters.{variant}.site_ms"]["n"] >= 1, variant
+
+
+def test_tracer_wraps_the_private_boundaries(tmp_path):
+    # the tracer skips a private boundary whose name it no longer finds
+    with spans.Tracer(tmp_path).installed():
+        assert hasattr(cli._run_sweep_job, "__wrapped__")
+        assert hasattr(pruning._sum_grads, "__wrapped__")
