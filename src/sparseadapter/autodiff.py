@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -52,21 +53,32 @@ class ShapeError(ValueError):
 
 _next_id = itertools.count()
 
-# Gradient tracking switch, toggled by no_grad(). Single-threaded per tape by
-# contract, so a module-level flag is sufficient.
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Gradient tracking switch, toggled by no_grad(). Each thread has its own,
+    so an evaluation on one thread leaves another thread's graphs alone; a
+    thread starts with tracking on. The object is truthy while the calling
+    thread's tracking is on."""
+
+    enabled = True
+
+    def __bool__(self) -> bool:
+        return self.enabled
+
+
+_grad_enabled = _GradMode()
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable graph construction inside the block (eval / optimizer updates)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction inside the block (eval / optimizer updates)
+    on the calling thread."""
+    prev = _grad_enabled.enabled
+    _grad_enabled.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.enabled = prev
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -128,7 +140,7 @@ def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     t.data = data
     t._id = next(_next_id)
     t._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.enabled and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._parents = parents
         t._vjp = vjp

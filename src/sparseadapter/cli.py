@@ -5,7 +5,8 @@ Every successful run leaves a re-runnable set of artifacts in the output
 directory: the exact config, the step metrics CSV, a summary JSON, and the
 final checkpoint. Sweep jobs execute as independent processes, at most
 --workers and at most one per job, and are aggregated into one CSV by the
-coordinator.
+coordinator. Each job gets an equal share of the CPUs, which decides whether
+its evaluations overlap its training (see sparseadapter.training).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import SyntheticTaskSpec, TaskData, generate, load_dir
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
 from .pruning import apply_mask, compute_mask, load_mask, save_mask
-from .training import OptimizerConfig, evaluate, train
+from .training import OptimizerConfig, available_cpus, evaluate, train
 
 OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
@@ -158,7 +159,9 @@ def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 def shift_seeds(cfg: ExperimentConfig, run_index: int) -> ExperimentConfig:
     """Independent seeds for the run_index-th repeat of a sweep point."""
-    return _map_seeds(cfg, lambda s: s + run_index * SEED_STRIDE)
+    cfg = _map_seeds(cfg, lambda s: s + run_index * SEED_STRIDE)
+    cfg.validate()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +288,15 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConf
                 prune=replace(cfg.prune, method=method, s=s))))
 
 
-def _run_sweep_job(cfg: ExperimentConfig) -> tuple[float, float, int]:
-    """One (point, seed) training run; executed in a worker process. Returns
-    the kept fraction, the final eval accuracy and the first step that
-    reached 90% of it."""
+def _run_sweep_job(job: tuple[ExperimentConfig, int]) -> tuple[float, float, int]:
+    """One (point, seed) training run on the given count of CPUs; executed in
+    a worker process. Returns the kept fraction, the final eval accuracy and
+    the first step that reached 90% of it."""
+    cfg, cpus = job
     model = build_model(cfg)
     dataset = load_data(cfg)
     mask = make_mask(cfg, model, dataset)
-    metrics = train(model, dataset, cfg.optimizer, mask=mask)
+    metrics = train(model, dataset, cfg.optimizer, mask=mask, cpus=cpus)
     final = metrics.final_eval_accuracy
     return metrics.kept_fraction, final, metrics.steps_to_accuracy(0.9 * final)
 
@@ -344,6 +348,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
         points.append(point)
     jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
     workers = min(workers, len(jobs))   # the pool forks all its workers at once
+    cpus = available_cpus() // workers  # each job's share while the pool runs
+    jobs = [(job, cpus) for job in jobs]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
 

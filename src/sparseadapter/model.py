@@ -307,17 +307,21 @@ def read_checkpoint(path: str) -> dict[str, tuple[np.ndarray, bool]]:
 
 
 def load_checkpoint(model: Model, path: str) -> None:
-    """Load a checkpoint into a structurally identical model."""
+    """Load a checkpoint into a structurally identical model. A file that
+    does not fit the model is refused before any group is written."""
     entries = read_checkpoint(path)
     if set(entries) != set(model.groups):
         missing = set(model.groups) - set(entries)
         extra = set(entries) - set(model.groups)
         raise ValueError(f"checkpoint/model group mismatch (missing={sorted(missing)}, "
                          f"extra={sorted(extra)})")
-    for name, (arr, trainable) in entries.items():
+    for name, (arr, trainable) in entries.items():     # all before the first write
         pg = model.groups[name]
         if arr.shape != pg.tensor.shape:
             raise ValueError(f"group '{name}': checkpoint shape {arr.shape} != "
                              f"model shape {pg.tensor.shape}")
-        pg.tensor.data[...] = arr
+        if pg.prunable and not trainable:
+            raise ValueError(f"group '{name}': prunable implies trainable")
+    for name, (arr, trainable) in entries.items():
+        model.groups[name].tensor.data[...] = arr
         model.set_trainable(name, trainable)

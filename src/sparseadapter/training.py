@@ -3,14 +3,24 @@ then linear decay, frozen backbone, and mask-preserving updates.
 
 After every optimizer step the weights AND both Adam moments are re-zeroed at
 masked positions, so pruned slots can never leak back through momentum.
+
+When a run has at least 2 CPUs to itself, each evaluation inside `train`
+overlaps the training steps that follow it: a worker thread evaluates a
+shadow of the model, which shares the frozen arrays and holds a copy of the
+trainable groups as they were at the eval step. At most one evaluation is in
+flight. The records, their order and every bit are those of an evaluation in
+line, and each thread still runs single-threaded BLAS.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,14 +214,70 @@ def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,
     return loss_sum / n, correct / n
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Evals:
+    """The evaluations of one `train` call. With a `pool`, each runs there on
+    a shadow of the model while training goes on; without one, in line."""
+
+    def __init__(self, model: Model, split, batch_size: int,
+                 pool: ThreadPoolExecutor | None):
+        self.split, self.batch_size, self.pool = split, batch_size, pool
+        self.model = model
+        self.pending: tuple[StepRecord, Future] | None = None
+        if pool is not None:
+            frozen = {id(pg.tensor): pg.tensor for pg in model.groups.values()
+                      if not pg.trainable}
+            self.model = copy.deepcopy(model, frozen)
+            self.copies = [(self.model.groups[n].tensor.data, pg.tensor.data)
+                           for n, pg in model.trainable_groups().items()]
+
+    def _evaluate(self) -> tuple[float, float]:
+        return evaluate(self.model, self.split.tokens, self.split.labels,
+                        self.batch_size)
+
+    @staticmethod
+    def _fill(record: StepRecord, result) -> None:
+        try:
+            record.loss, record.accuracy = result()
+        except ad.NumericError as exc:
+            raise TrainingDiverged(record.step, exc) from exc
+
+    def submit(self, record: StepRecord) -> None:
+        """Fill `record` with the loss and accuracy of the model as it is now."""
+        if self.pool is None:
+            self._fill(record, self._evaluate)
+            return
+        self.drain()
+        for shadow, live in self.copies:
+            np.copyto(shadow, live)
+        self.pending = record, self.pool.submit(self._evaluate)
+
+    def drain(self) -> None:
+        """Wait for the evaluation in flight, if any, and fill its record."""
+        if self.pending is not None:
+            record, future = self.pending
+            self.pending = None
+            self._fill(record, future.result)
+
+
 def train(model: Model, dataset, cfg: OptimizerConfig,
-          mask: PruneMask | None = None, evals_per_epoch: int = 2) -> RunMetrics:
+          mask: PruneMask | None = None, evals_per_epoch: int = 2,
+          cpus: int | None = None) -> RunMetrics:
     """Fine-tune the trainable groups; deterministic in cfg.seed.
 
     The model is expected to be frozen via freeze_backbone (adapters + head
     trainable). `dataset` carries .train and .eval splits (see
     sparseadapter.data). When a mask is given it is applied first and
-    re-enforced on every step.
+    re-enforced on every step. `cpus` is the number of CPUs the run has to
+    itself (default: every CPU this process may use); with 2 or more, each
+    evaluation overlaps the following training steps.
     """
     cfg.validate()
     if len(dataset.train.labels) == 0:
@@ -234,34 +300,39 @@ def train(model: Model, dataset, cfg: OptimizerConfig,
         return metrics
 
     eval_every = max(1, steps_per_epoch // max(1, evals_per_epoch))
+    overlap = (available_cpus() if cpus is None else cpus) >= 2
     rng = np.random.default_rng(cfg.seed)
     step = 0
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            tokens = dataset.train.tokens[idx]
-            labels = dataset.train.labels[idx]
-            step += 1
-            try:
-                # overflow warnings are redundant here: any non-finite value
-                # raises NumericError, reported below with the step number
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    logits = model.forward(tokens)
-                    loss = ad.cross_entropy_logits(logits, labels)
-                    grads = ad.backward(loss,
-                                        {n_: p.tensor for n_, p in params.items()})
-                    lr = lr_at(step, total_steps, cfg)
-                    masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
-                                     active_mask, state, cfg, lr)
+    with ThreadPoolExecutor(max_workers=1) as pool:    # joined on every exit
+        evals = _Evals(model, dataset.eval, cfg.batch_size, pool if overlap else None)
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                tokens = dataset.train.tokens[idx]
+                labels = dataset.train.labels[idx]
+                step += 1
+                try:
+                    # overflow warnings are redundant here: any non-finite value
+                    # raises NumericError, reported below with the step number
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        logits = model.forward(tokens)
+                        loss = ad.cross_entropy_logits(logits, labels)
+                        grads = ad.backward(loss,
+                                            {n_: p.tensor for n_, p in params.items()})
+                        lr = lr_at(step, total_steps, cfg)
+                        masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
+                                         active_mask, state, cfg, lr)
+                except ad.NumericError as exc:
+                    evals.drain()       # an earlier eval's divergence comes first
+                    raise TrainingDiverged(step, exc) from exc
                 acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
                 metrics.records.append(StepRecord(step, "train", loss.item(), acc,
                                                   lr, kept_fraction))
                 if step % eval_every == 0 or step == total_steps:
-                    ev_loss, ev_acc = evaluate(model, dataset.eval.tokens,
-                                               dataset.eval.labels, cfg.batch_size)
-                    metrics.records.append(StepRecord(step, "eval", ev_loss, ev_acc,
-                                                      lr, kept_fraction))
-            except ad.NumericError as exc:
-                raise TrainingDiverged(step, exc) from exc
+                    record = StepRecord(step, "eval", math.nan, math.nan, lr,
+                                        kept_fraction)
+                    metrics.records.append(record)     # its slot, filled by evals
+                    evals.submit(record)
+        evals.drain()
     return metrics

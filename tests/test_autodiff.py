@@ -1,7 +1,10 @@
 """Engine tests: every primitive against finite differences, backward/hvp
 contracts, the two vjp backends, tape topology, determinism."""
 
+import contextlib
 import gc
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -560,3 +563,55 @@ def test_no_grad_suppresses_graph():
     with ad.no_grad():
         out = ad.mul(w, w)
     assert not out.requires_grad
+
+
+def test_no_grad_holds_only_on_its_own_thread():
+    # an evaluation on a worker thread must not switch off the training
+    # thread's graph, or backward hands every group zero gradients
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ad.no_grad():
+            entered.set()
+            release.wait(10)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(10)
+        w = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = ad.tsum(ad.mul(w, w))
+        grads = ad.backward(loss, {"w": w})
+    finally:
+        release.set()
+        other.join()
+    assert loss.requires_grad
+    np.testing.assert_array_equal(grads["w"].data, [2.0, -4.0])
+
+
+def test_no_grad_per_thread_under_frequent_switches():
+    # more threads than cores, each switching its own flag on and off while
+    # the interpreter switches threads as often as it can
+    errors = []
+
+    def toggle(seed):
+        w = ad.Tensor(np.full(3, float(seed)), requires_grad=True)
+        for i in range(300):
+            tracking = i % 2 == 0
+            with contextlib.nullcontext() if tracking else ad.no_grad():
+                out = ad.mul(w, w)
+                if out.requires_grad != tracking:
+                    errors.append((seed, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=toggle, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -523,16 +523,12 @@ def test_sweep_with_zero_epochs_is_an_error_line(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
-@pytest.mark.parametrize("workers,seeds,pools", [("64", "2", [2]), ("2", "3", [2]),
-                                                 ("3", "1", [])])
-def test_sweep_workers_capped_at_job_count(tmp_path, monkeypatch, workers, seeds, pools):
-    # a stand-in pool that records its size and runs the jobs in this process;
-    # one job runs on the serial path, with no pool at all
-    made = []
-
-    class RecordingPool:
+def in_process_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that records its size in `sizes`
+    and runs the jobs in this process."""
+    class Pool:
         def __init__(self, max_workers):
-            made.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -543,13 +539,54 @@ def test_sweep_workers_capped_at_job_count(tmp_path, monkeypatch, workers, seeds
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return Pool
+
+
+@pytest.mark.parametrize("workers,seeds,pools", [("64", "2", [2]), ("2", "3", [2]),
+                                                 ("3", "1", [])])
+def test_sweep_workers_capped_at_job_count(tmp_path, monkeypatch, workers, seeds, pools):
+    # one job runs on the serial path, with no pool at all
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(made))
     config = write_config(tmp_path)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", "sparsity",
                  "--values", "0.4", "--seeds", seeds, "--workers", workers]) == 0
     assert made == pools
     assert read_sweep(os.path.join(out, "sweep.csv"))[1][0]["seeds"] == seeds
+
+
+def test_sweep_shifted_seed_outside_int64_is_an_error_line(tmp_path, capsys):
+    # the second run of a point adds SEED_STRIDE to every seed
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    seed = 2**63 - 1
+    assert main(["sweep", "--config", config, "--out", out, "--seed", str(seed),
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "2"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: seed must be in [0, 2**63), got {seed + cli.SEED_STRIDE}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("workers,cpus,share", [("1", 4, 4), ("2", 4, 2), ("2", 2, 1),
+                                                ("3", 2, 0)])
+def test_sweep_job_gets_its_share_of_the_cpus(tmp_path, monkeypatch, workers, cpus, share):
+    # a job overlaps its evals with training only with 2 CPUs to itself
+    given = []
+    real_train = cli.train
+
+    def recording_train(*args, cpus, **kwargs):
+        given.append(cpus)
+        return real_train(*args, cpus=cpus, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool([]))
+    monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "train", recording_train)
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out, "--sweep-axis", "sparsity",
+                 "--values", "0.4", "--seeds", "3", "--workers", workers]) == 0
+    assert given == [share] * 3
 
 
 def test_sweep_kept_fraction_tracks_sparsity(tmp_path):

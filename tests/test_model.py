@@ -187,6 +187,25 @@ def test_checkpoint_cannot_freeze_a_prunable_group(tmp_path):
         load_checkpoint(other, path)
 
 
+def test_rejected_checkpoint_leaves_the_model_unchanged(tmp_path):
+    # the file is refused at a late group; no earlier group may be written
+    m = small_model(0)
+    insert_adapters(m, AdapterSpec(variant="houlsby", r=4), seed=1)
+    freeze_backbone(m)
+    name = "layer1.ffn.adapter.down.weight"
+    assert list(m.groups).index(name) > len(m.groups) // 2
+    m.groups[name].trainable = False
+    path = str(tmp_path / "model.sacp")
+    save_checkpoint(m, path)
+    other = small_model(99)
+    insert_adapters(other, AdapterSpec(variant="houlsby", r=4), seed=98)
+    before = {n: (g.tensor.data.tobytes(), g.trainable) for n, g in other.groups.items()}
+    with pytest.raises(ValueError, match=f"group '{name}': prunable implies trainable"):
+        load_checkpoint(other, path)
+    assert {n: (g.tensor.data.tobytes(), g.trainable)
+            for n, g in other.groups.items()} == before
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = str(tmp_path / "bad.sacp")
     with open(path, "wb") as f:

@@ -2,10 +2,12 @@
 mask preservation through updates, frozen-backbone immutability, determinism."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from sparseadapter import training
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.data import Split, SyntheticTaskSpec, TaskData, generate
 from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
@@ -13,9 +15,9 @@ from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
 from sparseadapter.pruning import PruneMask, compute_mask, score_random, \
     prune_by_percentile
 from sparseadapter.training import (ADAM_EPS, AdamState, OptimizerConfig,
-                                    RunMetrics, StepRecord, evaluate, lr_at,
-                                    masked_adam_step, train)
-from sparseadapter.autodiff import Tensor
+                                    RunMetrics, StepRecord, TrainingDiverged,
+                                    evaluate, lr_at, masked_adam_step, train)
+from sparseadapter.autodiff import NumericError, Tensor
 from oracles import reference_adamw
 
 TASK = SyntheticTaskSpec(task="token_majority", vocab=60, seq_len=8, n_classes=4,
@@ -227,6 +229,61 @@ def test_empty_dataset_rejected():
                      eval=data.eval)
     with pytest.raises(ValueError, match="empty"):
         train(model, empty, quick_opt())
+
+
+def _run_on(cpus):
+    model, data = small_setup(seed=3)
+    mask = compute_mask(model, "random", 0.5, seed=0)
+    threads = threading.active_count()
+    metrics = train(model, data, quick_opt(epochs=3, seed=7), mask=mask, cpus=cpus)
+    assert threading.active_count() == threads
+    return model, metrics
+
+
+def test_overlapped_evals_match_evals_in_line():
+    # with 2 CPUs each eval runs on a worker thread while training goes on
+    model_1, inline = _run_on(1)
+    model_2, overlapped = _run_on(2)
+    assert overlapped.to_csv() == inline.to_csv()
+    assert overlapped.records == inline.records
+    assert len(inline.eval_history()) == 6
+    for moments in ("m", "v"):
+        a, b = getattr(inline.adam_state, moments), getattr(overlapped.adam_state, moments)
+        assert {n: x.tobytes() for n, x in a.items()} == \
+            {n: x.tobytes() for n, x in b.items()}
+    assert {n: g.tensor.data.tobytes() for n, g in model_1.groups.items()} == \
+        {n: g.tensor.data.tobytes() for n, g in model_2.groups.items()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("later_step_fails", [False, True])
+def test_eval_divergence_reports_the_eval_step(monkeypatch, cpus, later_step_fails):
+    # evals run at steps 2, 4, 6, 8; the one at step 4 diverges, and in the
+    # second case so does the training step after it, while that eval may
+    # still be in flight: the eval's step is the one reported
+    model, data = small_setup(seed=5)
+    calls = []
+
+    def diverging_evaluate(m, *args):
+        calls.append((m is model, threading.current_thread() is threading.main_thread()))
+        if len(calls) == 2:
+            raise NumericError("forced in the eval")
+        return evaluate(m, *args)
+
+    def diverging_step(params, grads, mask, state, *args):
+        if later_step_fails and state.t == 4:
+            raise NumericError("forced in step 5")
+        return masked_adam_step(params, grads, mask, state, *args)
+
+    monkeypatch.setattr(training, "evaluate", diverging_evaluate)
+    monkeypatch.setattr(training, "masked_adam_step", diverging_step)
+    threads = threading.active_count()
+    with pytest.raises(TrainingDiverged) as info:
+        train(model, data, quick_opt(epochs=2), cpus=cpus)
+    assert info.value.step == 4
+    assert "forced in the eval" in str(info.value)
+    assert threading.active_count() == threads
+    assert calls == [(cpus == 1, cpus == 1)] * 2
 
 
 def test_evaluate_pure_and_deterministic():
