@@ -3,10 +3,12 @@ sweep / eval / inspect-mask subcommands.
 
 Every successful run leaves a re-runnable set of artifacts in the output
 directory: the exact config, the step metrics CSV, a summary JSON, and the
-final checkpoint. Sweep jobs execute as independent processes, at most
---workers and at most one per job, and are aggregated into one CSV by the
-coordinator. Each job gets an equal share of the CPUs, which decides whether
-its evaluations overlap its training (see sparseadapter.training).
+final checkpoint. With --workers above 1, sweep jobs run in worker
+processes, at most --workers and at most one per job; with --workers 1 they
+run one after another in the calling process. Either way the coordinator
+aggregates them into one CSV. Each job gets an equal share of the CPUs, which
+decides whether its evaluations overlap its training (see
+sparseadapter.training).
 """
 
 from __future__ import annotations
@@ -27,30 +29,11 @@ from .autodiff import NumericError
 from .data import SyntheticTaskSpec, TaskData, generate, load_dir
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
-from .pruning import apply_mask, compute_mask, load_mask, save_mask
+from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
 from .training import OptimizerConfig, available_cpus, evaluate, train
 
 OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
-
-PRUNE_METHODS = ("random", "magnitude", "er", "snip", "grasp")
-
-
-@dataclass
-class PruneConfig:
-    method: str = "snip"
-    s: float = 0.4
-    seed: int = 0
-    snip_abs: bool = False
-    score_batches: int = 1
-
-    def validate(self) -> None:
-        if self.method not in PRUNE_METHODS:
-            raise ValueError(f"unknown prune method '{self.method}'")
-        if not 0.0 <= self.s < 1.0:
-            raise ValueError("prune.s must be in [0, 1)")
-        if self.score_batches < 1:
-            raise ValueError("prune.score_batches must be >= 1")
 
 
 @dataclass
@@ -144,22 +127,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _map_seeds(cfg: ExperimentConfig, fn) -> ExperimentConfig:
-    """Apply `fn` to the model init, prune, and shuffle seeds."""
-    return replace(cfg, seed=fn(cfg.seed),
-                   prune=replace(cfg.prune, seed=fn(cfg.prune.seed)),
-                   optimizer=replace(cfg.optimizer, seed=fn(cfg.optimizer.seed)))
-
-
-def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Point the model init, prune, and shuffle seeds at one value."""
-    cfg = _map_seeds(cfg, lambda _: seed)
-    cfg.validate()
-    return cfg
-
-
-def shift_seeds(cfg: ExperimentConfig, run_index: int) -> ExperimentConfig:
-    """Independent seeds for the run_index-th repeat of a sweep point."""
-    cfg = _map_seeds(cfg, lambda s: s + run_index * SEED_STRIDE)
+    """The checked config with `fn` applied to the model init, prune, and
+    shuffle seeds."""
+    cfg = replace(cfg, seed=fn(cfg.seed),
+                  prune=replace(cfg.prune, seed=fn(cfg.prune.seed)),
+                  optimizer=replace(cfg.optimizer, seed=fn(cfg.optimizer.seed)))
     cfg.validate()
     return cfg
 
@@ -193,10 +165,9 @@ def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
 
 
 def make_mask(cfg: ExperimentConfig, model: Model, dataset: TaskData):
-    batches = scoring_batches(cfg, dataset) if cfg.prune.method in ("snip", "grasp") \
-        else ()
     return compute_mask(model, cfg.prune.method, cfg.prune.s, cfg.prune.seed,
-                        batches=batches, snip_abs=cfg.prune.snip_abs)
+                        batches=scoring_batches(cfg, dataset),
+                        snip_abs=cfg.prune.snip_abs)
 
 
 def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
@@ -295,8 +266,8 @@ def _run_sweep_job(job: tuple[ExperimentConfig, int]) -> tuple[float, float, int
     cfg, cpus = job
     model = build_model(cfg)
     dataset = load_data(cfg)
-    mask = make_mask(cfg, model, dataset)
-    metrics = train(model, dataset, cfg.optimizer, mask=mask, cpus=cpus)
+    apply_mask(model, make_mask(cfg, model, dataset))
+    metrics = train(model, dataset, cfg.optimizer, cpus=cpus)
     final = metrics.final_eval_accuracy
     return metrics.kept_fraction, final, metrics.steps_to_accuracy(0.9 * final)
 
@@ -346,7 +317,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
         except ValueError as exc:
             raise ValueError(f"sweep value {v!r}: {exc}") from None
         points.append(point)
-    jobs = [shift_seeds(point, k) for point in points for k in range(seeds)]
+    # the k-th run of a point gets independent seeds
+    jobs = [_map_seeds(point, lambda s: s + k * SEED_STRIDE)
+            for point in points for k in range(seeds)]
     workers = min(workers, len(jobs))   # the pool forks all its workers at once
     cpus = available_cpus() // workers  # each job's share while the pool runs
     jobs = [(job, cpus) for job in jobs]
@@ -419,7 +392,7 @@ def main(argv=None) -> int:
             return 0
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = override_seeds(cfg, args.seed)
+            cfg = _map_seeds(cfg, lambda _: args.seed)
         out_dir = resolve_out(args.out, cfg)
         if args.command == "prune":
             cmd_prune(cfg, out_dir)

@@ -47,18 +47,26 @@ class EncoderConfig:
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})")
 
 
+def _check_trainable(name: str, prunable: bool, trainable: bool) -> None:
+    if prunable and not trainable:
+        raise ValueError(f"group '{name}': prunable implies trainable")
+
+
 @dataclass
 class ParamGroup:
-    """One named weight tensor plus its training/pruning flags."""
+    """One named weight tensor and whether pruning may mask it. The group
+    trains exactly when its tensor takes gradients (see `Model.set_trainable`)."""
 
     name: str
     tensor: Tensor
-    trainable: bool
     prunable: bool
 
     def __post_init__(self):
-        if self.prunable and not self.trainable:
-            raise ValueError(f"group '{self.name}': prunable implies trainable")
+        _check_trainable(self.name, self.prunable, self.trainable)
+
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
 
 class Model:
@@ -75,13 +83,12 @@ class Model:
 
     # -- registry ----------------------------------------------------------
 
-    def add_group(self, name: str, data: np.ndarray, *, trainable: bool = True,
-                  prunable: bool = False, adapter: bool = False,
-                  head: bool = False) -> ParamGroup:
+    def add_group(self, name: str, data: np.ndarray, *, prunable: bool = False,
+                  adapter: bool = False, head: bool = False) -> ParamGroup:
+        """Register a new group; it starts trainable."""
         if name in self.groups:
             raise ValueError(f"duplicate parameter group '{name}'")
-        pg = ParamGroup(name, Tensor(data, requires_grad=trainable),
-                        trainable, prunable)
+        pg = ParamGroup(name, Tensor(data, requires_grad=True), prunable)
         self.groups[name] = pg
         if adapter:
             self.adapter_group_names.add(name)
@@ -94,9 +101,7 @@ class Model:
 
     def set_trainable(self, name: str, trainable: bool) -> None:
         pg = self.groups[name]
-        if pg.prunable and not trainable:
-            raise ValueError(f"group '{name}': prunable implies trainable")
-        pg.trainable = trainable
+        _check_trainable(name, pg.prunable, trainable)
         pg.tensor.requires_grad = trainable
 
     def trainable_groups(self) -> dict[str, ParamGroup]:
@@ -108,10 +113,6 @@ class Model:
     def backbone_group_names(self) -> list[str]:
         skip = self.adapter_group_names | self.head_group_names
         return [n for n in self.groups if n not in skip]
-
-    def backbone_bytes(self) -> bytes:
-        return b"".join(self.groups[n].tensor.data.tobytes()
-                        for n in self.backbone_group_names())
 
     # -- forward -----------------------------------------------------------
 
@@ -320,8 +321,7 @@ def load_checkpoint(model: Model, path: str) -> None:
         if arr.shape != pg.tensor.shape:
             raise ValueError(f"group '{name}': checkpoint shape {arr.shape} != "
                              f"model shape {pg.tensor.shape}")
-        if pg.prunable and not trainable:
-            raise ValueError(f"group '{name}': prunable implies trainable")
+        _check_trainable(name, pg.prunable, trainable)
     for name, (arr, trainable) in entries.items():
         model.groups[name].tensor.data[...] = arr
         model.set_trainable(name, trainable)

@@ -263,6 +263,29 @@ def apply_mask(model: Model, mask: PruneMask) -> None:
     model.mask = mask
 
 
+PRUNE_METHODS = ("random", "magnitude", "er", "snip", "grasp")
+
+
+@dataclass
+class PruneConfig:
+    """The `compute_mask` arguments of a run, plus how many training batches
+    snip and grasp score on."""
+
+    method: str = "snip"
+    s: float = 0.4
+    seed: int = 0
+    snip_abs: bool = False
+    score_batches: int = 1
+
+    def validate(self) -> None:
+        if self.method not in PRUNE_METHODS:
+            raise ValueError(f"unknown prune method '{self.method}'")
+        if not 0.0 <= self.s < 1.0:
+            raise ValueError("prune.s must be in [0, 1)")
+        if self.score_batches < 1:
+            raise ValueError("prune.score_batches must be >= 1")
+
+
 def compute_mask(model: Model, method: str, s: float, seed: int,
                  batches: Sequence = (), snip_abs: bool = False) -> PruneMask:
     """Method dispatch used by the CLI and sweeps."""

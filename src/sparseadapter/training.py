@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import trainable_param_report
 from .model import Model
-from .pruning import PruneMask, apply_mask
+from .pruning import PruneMask
 
 ADAM_EPS = 1e-8
 
@@ -143,7 +143,6 @@ class RunMetrics:
     records: list[StepRecord] = field(default_factory=list)
     kept_fraction: float = 1.0
     total_steps: int = 0
-    adam_state: "AdamState | None" = None   # final optimizer state, for audits
 
     def eval_history(self) -> list[tuple[int, float]]:
         return [(r.step, r.accuracy) for r in self.records if r.split == "eval"]
@@ -267,23 +266,20 @@ class _Evals:
             self._fill(record, future.result)
 
 
-def train(model: Model, dataset, cfg: OptimizerConfig,
-          mask: PruneMask | None = None, evals_per_epoch: int = 2,
+def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int = 2,
           cpus: int | None = None) -> RunMetrics:
     """Fine-tune the trainable groups; deterministic in cfg.seed.
 
     The model is expected to be frozen via freeze_backbone (adapters + head
     trainable). `dataset` carries .train and .eval splits (see
-    sparseadapter.data). When a mask is given it is applied first and
-    re-enforced on every step. `cpus` is the number of CPUs the run has to
-    itself (default: every CPU this process may use); with 2 or more, each
-    evaluation overlaps the following training steps.
+    sparseadapter.data). The mask, if any, is the one `apply_mask` registered
+    on the model; every step re-enforces it. `cpus` is the number of CPUs the
+    run has to itself (default: every CPU this process may use); with 2 or
+    more, each evaluation overlaps the following training steps.
     """
     cfg.validate()
     if len(dataset.train.labels) == 0:
         raise ValueError("train: empty training split")
-    if mask is not None:
-        apply_mask(model, mask)
     active_mask = model.mask
 
     params = model.trainable_groups()
@@ -294,8 +290,7 @@ def train(model: Model, dataset, cfg: OptimizerConfig,
     n = len(dataset.train.labels)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    metrics = RunMetrics(kept_fraction=kept_fraction, total_steps=total_steps,
-                         adam_state=state)
+    metrics = RunMetrics(kept_fraction=kept_fraction, total_steps=total_steps)
     if cfg.epochs == 0:
         return metrics
 

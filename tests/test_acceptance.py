@@ -17,10 +17,11 @@ from sparseadapter.adapters import AdapterSpec, LargeSparseConfig, \
 from sparseadapter.data import SyntheticTaskSpec, generate
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
-from sparseadapter.pruning import compute_mask, load_mask, \
+from sparseadapter.pruning import apply_mask, compute_mask, load_mask, \
     prune_by_percentile, round_half_up, save_mask, score_random
 from sparseadapter.training import OptimizerConfig, train
 from oracles import fd_gradient, fd_hvp, random_small_net, rel_err
+from probes import backbone_bytes, keep_adam_states
 
 
 def criterion(n, ok, desc):
@@ -56,17 +57,15 @@ def train_run(enc_kw, task_kw, r, method, s, seed, lr, epochs,
     """One prune-at-init + fine-tune run; method=None trains dense."""
     model = adapter_model(enc_kw, r, seed)
     data = generate(SyntheticTaskSpec(**task_kw, seed=seed))
-    mask = None
     if method is not None:
         rng = np.random.default_rng(seed)
         n = len(data.train.labels)
         idx = rng.choice(n, min(32, n), replace=False)
         batches = [(data.train.tokens[idx], data.train.labels[idx])]
-        mask = compute_mask(model, method, s, seed, batches=batches,
-                            snip_abs=snip_abs)
+        apply_mask(model, compute_mask(model, method, s, seed, batches=batches,
+                                       snip_abs=snip_abs))
     cfg = OptimizerConfig(peak_lr=lr, epochs=epochs, batch_size=32, seed=seed)
-    return model, train(model, data, cfg, mask=mask,
-                        evals_per_epoch=evals_per_epoch)
+    return model, train(model, data, cfg, evals_per_epoch=evals_per_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def test_criterion_4_budget_identity():
 # 5. mask preservation through a full 10-epoch run
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_mask_preservation():
+def test_criterion_5_mask_preservation(monkeypatch):
     model = adapter_model(SMALL_ENCODER, 16, seed=5)
     data = generate(SyntheticTaskSpec(task="token_majority", vocab=300,
                                       seq_len=10, n_classes=4, n_train=160,
@@ -195,17 +194,19 @@ def test_criterion_5_mask_preservation():
     idx = rng.choice(160, 32, replace=False)
     mask = compute_mask(model, "snip", 0.4, seed=5,
                         batches=[(data.train.tokens[idx], data.train.labels[idx])])
-    backbone_before = model.backbone_bytes()
+    backbone_before = backbone_bytes(model)
     cfg = OptimizerConfig(peak_lr=3e-3, epochs=10, batch_size=32, seed=5)
-    metrics = train(model, data, cfg, mask=mask)
+    states = keep_adam_states(monkeypatch)
+    apply_mask(model, mask)
+    train(model, data, cfg)
 
     weights_ok = all(np.all(g.tensor.data[~mask.masks[n]] == 0.0)
                      for n, g in model.prunable_groups().items())
-    state = metrics.adam_state
+    (state,) = states
     moments_ok = all(np.all(state.m[n][~mask.masks[n]] == 0.0)
                      and np.all(state.v[n][~mask.masks[n]] == 0.0)
                      for n in mask.masks)
-    backbone_ok = model.backbone_bytes() == backbone_before
+    backbone_ok = backbone_bytes(model) == backbone_before
     criterion(5, weights_ok and moments_ok and backbone_ok,
               f"after 10 epochs at s=0.4: masked weights zero ({weights_ok}), "
               f"masked Adam moments zero ({moments_ok}), backbone bytes "

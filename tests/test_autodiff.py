@@ -558,6 +558,57 @@ def test_graph_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_two_create_graph_backwards_at_once():
+    # a create-graph backward drops the values of the nodes its vjp calls made,
+    # taken as every node with an id above the call's first; with two threads
+    # the ids interleave, and each hvp must still equal the same hvp run alone
+    cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=4, d_ff=32,
+                        n_layers=2, max_seq_len=16, n_classes=4)
+    cases = []
+    for variant, seed in (("houlsby", 3), ("mam", 7)):
+        m = build_encoder(cfg, seed)
+        insert_adapters(m, AdapterSpec(variant=variant, r=4), seed + 1)
+        freeze_backbone(m)
+        params = {n: g.tensor for n, g in m.trainable_groups().items()}
+        rng = np.random.default_rng(seed)
+        v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
+        batch = _batch(seed)
+        cases.append((lambda p, m=m, batch=batch: m.loss(*batch), params, v))
+
+    def hvp_bytes(case):
+        return {k: t.data.tobytes() for k, t in ad.hvp(*case).items()}
+
+    alone = [hvp_bytes(case) for case in cases]
+    rounds = 20
+    barrier = threading.Barrier(len(cases), timeout=60)
+    results = [[] for _ in cases]
+    errors = []
+
+    def run(i):
+        try:
+            for _ in range(rounds):
+                barrier.wait()
+                results[i].append(hvp_bytes(cases[i]))
+        except Exception as exc:    # reported below, with the other thread's
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for i, got in enumerate(results):
+        assert got == [alone[i]] * rounds
+
+
 def test_no_grad_suppresses_graph():
     w = ad.Tensor(2.0, requires_grad=True)
     with ad.no_grad():

@@ -11,7 +11,7 @@ import pytest
 
 from sparseadapter import cli
 from sparseadapter.cli import (ExperimentConfig, cmd_sweep, load_config, main,
-                               override_seeds, parse_config, serialize_config)
+                               parse_config, serialize_config)
 
 
 def small_config(tmp_path, **overrides) -> dict:
@@ -123,9 +123,13 @@ def test_seed_outside_int64_is_an_error_line(tmp_path, capsys, where, seed):
 
 
 def test_override_seeds(tmp_path):
-    cfg = parse_config(small_config(tmp_path))
-    cfg2 = override_seeds(cfg, 42)
-    assert cfg2.seed == cfg2.prune.seed == cfg2.optimizer.seed == 42
+    # --seed points the model init, prune and shuffle seeds at one value
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", write_config(tmp_path), "--out", out,
+                 "--seed", "42"]) == 0
+    cfg = load_config(os.path.join(out, "config.json"))
+    assert cfg.seed == cfg.prune.seed == cfg.optimizer.seed == 42
+    assert cfg.data.task.seed == 0
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
+def test_trainability_has_one_owner(tmp_path):
+    # a group reads its tensor's flag, and only set_trainable writes it
+    m = small_model(0)
+    insert_adapters(m, AdapterSpec(variant="houlsby", r=4), seed=1)
+    pg = m.groups["layer0.attn.q.weight"]
+    with pytest.raises(AttributeError):
+        pg.trainable = False
+    m.set_trainable(pg.name, False)
+    assert not pg.tensor.requires_grad and not pg.trainable
+    m.set_trainable(pg.name, True)
+    assert pg.tensor.requires_grad and pg.trainable
+    name = "layer0.attn.adapter.down.weight"
+    with pytest.raises(ValueError, match=f"group '{name}': prunable implies trainable"):
+        m.set_trainable(name, False)
+    m.groups[name].tensor.requires_grad = False     # forged, as in a hand-made file
+    path = str(tmp_path / "model.sacp")
+    save_checkpoint(m, path)
+    other = small_model(0)
+    insert_adapters(other, AdapterSpec(variant="houlsby", r=4), seed=1)
+    with pytest.raises(ValueError, match=f"group '{name}': prunable implies trainable"):
+        load_checkpoint(other, path)
+
+
 def test_checkpoint_cannot_freeze_a_prunable_group(tmp_path):
     m = small_model(0)
     insert_adapters(m, AdapterSpec(variant="houlsby", r=4), seed=1)
     freeze_backbone(m)
     name = "layer0.attn.adapter.down.weight"
-    m.groups[name].trainable = False    # a state only a hand-made file holds
+    m.groups[name].tensor.requires_grad = False     # a state only a hand-made file holds
     path = str(tmp_path / "model.sacp")
     save_checkpoint(m, path)
     other = small_model(0)
@@ -194,7 +217,7 @@ def test_rejected_checkpoint_leaves_the_model_unchanged(tmp_path):
     freeze_backbone(m)
     name = "layer1.ffn.adapter.down.weight"
     assert list(m.groups).index(name) > len(m.groups) // 2
-    m.groups[name].trainable = False
+    m.groups[name].tensor.requires_grad = False
     path = str(tmp_path / "model.sacp")
     save_checkpoint(m, path)
     other = small_model(99)

@@ -29,8 +29,7 @@ class StubModel:
         self.groups = {}
         for name, arr in weights.items():
             arr = np.asarray(arr, dtype=np.float64)
-            self.groups[name] = ParamGroup(name, Tensor(arr, requires_grad=True),
-                                           True, True)
+            self.groups[name] = ParamGroup(name, Tensor(arr, requires_grad=True), True)
 
     def prunable_groups(self):
         return dict(self.groups)

@@ -12,13 +12,14 @@ from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.data import Split, SyntheticTaskSpec, TaskData, generate
 from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
     freeze_backbone, read_checkpoint, save_checkpoint
-from sparseadapter.pruning import PruneMask, compute_mask, score_random, \
-    prune_by_percentile
+from sparseadapter.pruning import PruneMask, apply_mask, compute_mask, \
+    score_random, prune_by_percentile
 from sparseadapter.training import (ADAM_EPS, AdamState, OptimizerConfig,
                                     RunMetrics, StepRecord, TrainingDiverged,
                                     evaluate, lr_at, masked_adam_step, train)
 from sparseadapter.autodiff import NumericError, Tensor
 from oracles import reference_adamw
+from probes import backbone_bytes, keep_adam_states
 
 TASK = SyntheticTaskSpec(task="token_majority", vocab=60, seq_len=8, n_classes=4,
                          n_train=64, n_eval=32, seed=0)
@@ -80,7 +81,7 @@ def test_lr_no_warmup():
 
 def _param(name, arr):
     arr = np.asarray(arr, dtype=np.float64)
-    return ParamGroup(name, Tensor(arr, requires_grad=True), True, False)
+    return ParamGroup(name, Tensor(arr, requires_grad=True), False)
 
 
 def test_zero_grads_zero_decay_is_noop():
@@ -163,8 +164,8 @@ def test_train_determinism():
 
 def test_zero_sparsity_mask_equals_dense_run():
     model_a, data = small_setup(seed=1)
-    mask = prune_by_percentile(score_random(model_a, 0), 0.0)
-    masked = train(model_a, data, quick_opt(seed=5), mask=mask)
+    apply_mask(model_a, prune_by_percentile(score_random(model_a, 0), 0.0))
+    masked = train(model_a, data, quick_opt(seed=5))
 
     model_b, data = small_setup(seed=1)
     dense = train(model_b, data, quick_opt(seed=5))
@@ -175,15 +176,16 @@ def test_zero_sparsity_mask_equals_dense_run():
 
 def test_frozen_backbone_bytes_unchanged():
     model, data = small_setup(seed=2)
-    before = model.backbone_bytes()
+    before = backbone_bytes(model)
     train(model, data, quick_opt(epochs=3, seed=2))
-    assert model.backbone_bytes() == before
+    assert backbone_bytes(model) == before
 
 
 def test_mask_preserved_through_training():
     model, data = small_setup(seed=4)
     mask = compute_mask(model, "random", 0.5, seed=0)
-    train(model, data, quick_opt(epochs=3), mask=mask)
+    apply_mask(model, mask)
+    train(model, data, quick_opt(epochs=3))
     for name, g in model.prunable_groups().items():
         assert np.all(g.tensor.data[~mask.masks[name]] == 0.0)
 
@@ -233,22 +235,24 @@ def test_empty_dataset_rejected():
 
 def _run_on(cpus):
     model, data = small_setup(seed=3)
-    mask = compute_mask(model, "random", 0.5, seed=0)
+    apply_mask(model, compute_mask(model, "random", 0.5, seed=0))
     threads = threading.active_count()
-    metrics = train(model, data, quick_opt(epochs=3, seed=7), mask=mask, cpus=cpus)
+    metrics = train(model, data, quick_opt(epochs=3, seed=7), cpus=cpus)
     assert threading.active_count() == threads
     return model, metrics
 
 
-def test_overlapped_evals_match_evals_in_line():
+def test_overlapped_evals_match_evals_in_line(monkeypatch):
     # with 2 CPUs each eval runs on a worker thread while training goes on
+    states = keep_adam_states(monkeypatch)
     model_1, inline = _run_on(1)
     model_2, overlapped = _run_on(2)
+    assert len(states) == 2
     assert overlapped.to_csv() == inline.to_csv()
     assert overlapped.records == inline.records
     assert len(inline.eval_history()) == 6
     for moments in ("m", "v"):
-        a, b = getattr(inline.adam_state, moments), getattr(overlapped.adam_state, moments)
+        a, b = getattr(states[0], moments), getattr(states[1], moments)
         assert {n: x.tobytes() for n, x in a.items()} == \
             {n: x.tobytes() for n, x in b.items()}
     assert {n: g.tensor.data.tobytes() for n, g in model_1.groups.items()} == \
