@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
 from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters, \
-    trainable_param_report
+    kept_param_fraction
 from .autodiff import Tape, Tensor, backward, hvp, no_grad
 from .data import SyntheticTaskSpec, TaskData, generate
 from .model import EncoderConfig, Model, ParamGroup, build_encoder, \
@@ -25,10 +25,10 @@ __all__ = [
     "SyntheticTaskSpec", "Tape", "TaskData", "Tensor", "apply_mask",
     "backward", "build_encoder", "compute_mask", "er_sparsities",
     "evaluate", "freeze_backbone", "generate", "hvp", "insert_adapters",
-    "load_checkpoint", "load_mask", "lr_at", "masked_adam_step", "no_grad",
-    "prune_by_percentile", "save_checkpoint", "save_mask", "score_er",
-    "score_grasp", "score_magnitude", "score_random", "score_snip",
-    "train", "trainable_param_report",
+    "kept_param_fraction", "load_checkpoint", "load_mask", "lr_at",
+    "masked_adam_step", "no_grad", "prune_by_percentile", "save_checkpoint",
+    "save_mask", "score_er", "score_grasp", "score_magnitude",
+    "score_random", "score_snip", "train",
 ]
 
 

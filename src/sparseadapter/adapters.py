@@ -1,4 +1,4 @@
-"""Adapter variants plugged into the encoder, plus parameter-budget accounting.
+"""Adapter variants plugged into the encoder, and their budget `kept_param_fraction`.
 
 Every delta site is one call, ``site(base, x)`` = base + delta(x) (He et al.,
 2022): the caller computes the backbone's own output `base`, and the variants
@@ -200,30 +200,12 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
     model.adapter_spec = spec
 
 
-def trainable_param_report(model: Model, mask=None) -> dict[str, float]:
-    """Parameter budget broken down the way the result tables count it.
-
-    ``adapter_kept`` counts adapter parameters surviving the mask (biases and
-    prefix vectors are never masked, so they always count); with no mask it
-    equals ``adapter_total``.
-    """
-    total_backbone = sum(model.groups[n].tensor.size
-                         for n in model.backbone_group_names())
-    head = sum(model.groups[n].tensor.size for n in model.head_group_names)
-    adapter_total = 0
-    adapter_kept = 0
-    for name in sorted(model.adapter_group_names):
-        size = model.groups[name].tensor.size
-        adapter_total += size
-        if mask is not None and name in mask.masks:
-            adapter_kept += int(np.count_nonzero(mask.masks[name]))
-        else:
-            adapter_kept += size
-    denom = total_backbone + adapter_total + head
-    return {
-        "total_backbone": total_backbone,
-        "adapter_total": adapter_total,
-        "adapter_kept": adapter_kept,
-        "head": head,
-        "fraction_kept": adapter_kept / denom if denom else 0.0,
-    }
+def kept_param_fraction(model: Model, mask=None) -> float:
+    """The parameter budget: adapter elements the mask keeps (biases and prefix
+    vectors are never masked) over every element of every group. Unlike
+    `PruneMask.kept_fraction`, the denominator is the whole model."""
+    masks = mask.masks if mask is not None else {}
+    kept = sum(int(np.count_nonzero(masks[n])) if n in masks
+               else model.groups[n].tensor.size for n in model.adapter_group_names)
+    total = sum(g.tensor.size for g in model.groups.values())
+    return kept / total if total else 0.0

@@ -14,12 +14,13 @@ sparseadapter.training).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -293,11 +294,8 @@ def _sweep_rows(points: list[ExperimentConfig], results: list[tuple],
 
 
 def _write_sweep_csv(path: str, rows: list[tuple], aborted: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([SWEEP_COLUMNS, *rows])
         if aborted:
             f.write(f"# aborted: {aborted}\n")
 
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
     except NumericError as exc:         # training.TrainingDiverged included
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

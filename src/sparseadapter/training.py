@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import trainable_param_report
+from .adapters import kept_param_fraction
 from .model import Model
 from .pruning import PruneMask
 
@@ -135,7 +135,6 @@ class StepRecord:
     loss: float
     accuracy: float
     lr: float
-    kept_fraction: float
 
 
 @dataclass
@@ -173,9 +172,8 @@ class RunMetrics:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step", "split", "loss", "accuracy", "lr", "kept_fraction"])
-        for r in self.records:
-            writer.writerow([r.step, r.split, repr(r.loss), repr(r.accuracy),
-                             repr(r.lr), repr(r.kept_fraction)])
+        writer.writerows([r.step, r.split, r.loss, r.accuracy, r.lr, self.kept_fraction]
+                         for r in self.records)
         return buf.getvalue()
 
     def summary(self) -> dict:
@@ -195,8 +193,9 @@ class RunMetrics:
 
 
 def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,
-             batch_size: int = 64) -> tuple[float, float]:
-    """Mean loss and accuracy over a split; never mutates the model."""
+             batch_size: int) -> tuple[float, float]:
+    """Mean loss and accuracy over a split; never mutates the model. The
+    loss's last bits depend on how `batch_size` splits the rows."""
     n = len(labels)
     if n == 0:
         raise ValueError("evaluate: empty dataset")
@@ -284,13 +283,12 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
 
     params = model.trainable_groups()
     state = AdamState.for_params(params)
-    report = trainable_param_report(model, active_mask)
-    kept_fraction = report["fraction_kept"]
 
     n = len(dataset.train.labels)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    metrics = RunMetrics(kept_fraction=kept_fraction, total_steps=total_steps)
+    metrics = RunMetrics(kept_fraction=kept_param_fraction(model, active_mask),
+                         total_steps=total_steps)
     if cfg.epochs == 0:
         return metrics
 
@@ -322,11 +320,9 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
                     evals.drain()       # an earlier eval's divergence comes first
                     raise TrainingDiverged(step, exc) from exc
                 acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-                metrics.records.append(StepRecord(step, "train", loss.item(), acc,
-                                                  lr, kept_fraction))
+                metrics.records.append(StepRecord(step, "train", loss.item(), acc, lr))
                 if step % eval_every == 0 or step == total_steps:
-                    record = StepRecord(step, "eval", math.nan, math.nan, lr,
-                                        kept_fraction)
+                    record = StepRecord(step, "eval", math.nan, math.nan, lr)
                     metrics.records.append(record)     # its slot, filled by evals
                     evals.submit(record)
         evals.drain()

@@ -13,7 +13,7 @@ import pytest
 
 import sparseadapter.autodiff as ad
 from sparseadapter.adapters import AdapterSpec, LargeSparseConfig, \
-    insert_adapters, trainable_param_report
+    insert_adapters, kept_param_fraction
 from sparseadapter.data import SyntheticTaskSpec, generate
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
@@ -127,7 +127,7 @@ def test_criterion_3_exact_sparsity():
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 60, (16, 8))
     labels = rng.integers(0, 4, 16)
-    dense_fraction = trainable_param_report(model)["fraction_kept"]
+    dense_fraction = kept_param_fraction(model)
     n_bias = sum(model.groups[n].tensor.size for n in model.adapter_group_names
                  if n not in model.prunable_groups())
     denom = sum(g.tensor.size for g in model.groups.values())
@@ -145,7 +145,7 @@ def test_criterion_3_exact_sparsity():
                 ok = False
                 details.append(f"{method}@s={s}: kept {mask.kept()} vs {target}")
             # parameter-fraction mirror: kept_fraction tracks (1-s)*dense
-            frac = trainable_param_report(model, mask)["fraction_kept"]
+            frac = kept_param_fraction(model, mask)
             slack = (s * n_bias + len(mask.masks) + 1) / denom
             if abs(frac - (1.0 - s) * dense_fraction) > slack:
                 ok = False

@@ -7,7 +7,7 @@ import pytest
 import sparseadapter.autodiff as ad
 from sparseadapter.adapters import (AdapterSpec, BottleneckAdapter,
                                     LargeSparseConfig, LoraProjection,
-                                    insert_adapters, trainable_param_report)
+                                    insert_adapters, kept_param_fraction)
 from sparseadapter.autodiff import GELU_C0, GELU_C1, Tensor
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
 from sparseadapter.pruning import round_half_up, score_random, prune_by_percentile
@@ -188,23 +188,20 @@ def test_mam_prefix_changes_attention():
 # ---------------------------------------------------------------------------
 
 def test_report_dense_equals_total():
+    # with no mask every adapter element counts, over backbone + adapters + head
     m = make_model("houlsby")
-    rep = trainable_param_report(m)
-    assert rep["adapter_kept"] == rep["adapter_total"]
-    expected_backbone = sum(m.groups[n].tensor.size
-                            for n in m.backbone_group_names())
-    assert rep["total_backbone"] == expected_backbone
-    assert rep["head"] == 16 * 4 + 4
-    denom = rep["total_backbone"] + rep["adapter_total"] + rep["head"]
-    assert rep["fraction_kept"] == pytest.approx(rep["adapter_total"] / denom)
+    adapter = sum(m.groups[n].tensor.size for n in m.adapter_group_names)
+    backbone = sum(m.groups[n].tensor.size for n in m.backbone_group_names())
+    head = 16 * 4 + 4
+    assert kept_param_fraction(m) == adapter / (backbone + adapter + head)
 
 
 @pytest.mark.parametrize("s,factor", [(0.4, 0.6), (0.8, 0.2)])
 def test_masked_fraction_tracks_one_minus_s(s, factor):
     m = make_model("houlsby", r=8, d_model=32)
     mask = prune_by_percentile(score_random(m, 0), s)
-    dense = trainable_param_report(m)["fraction_kept"]
-    kept = trainable_param_report(m, mask)["fraction_kept"]
+    dense = kept_param_fraction(m)
+    kept = kept_param_fraction(m, mask)
     # biases are never pruned, so allow their share plus rounding slack
     n_bias = sum(m.groups[n].tensor.size for n in m.adapter_group_names
                  if n not in m.prunable_groups())
@@ -216,7 +213,7 @@ def test_masked_fraction_tracks_one_minus_s(s, factor):
 def test_zero_sparsity_mask_report_matches_dense():
     m = make_model("houlsby")
     mask = prune_by_percentile(score_random(m, 0), 0.0)
-    assert trainable_param_report(m, mask) == trainable_param_report(m)
+    assert kept_param_fraction(m, mask) == kept_param_fraction(m)
 
 
 # ---------------------------------------------------------------------------

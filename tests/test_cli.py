@@ -1,6 +1,7 @@
 """CLI tests: config round trip and strictness, subcommand pipelines on a
 small config, sweep aggregation, artifact layout, error exit codes."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -404,6 +405,24 @@ def test_sweep_divergence_exit_code(tmp_path, capsys, workers):
     assert "# aborted: TrainingDiverged" in open(os.path.join(out, "sweep.csv")).read()
 
 
+def _dying_job(job):
+    os._exit(1)
+
+
+def test_dead_sweep_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a worker killed mid-job breaks the pool: exit 1 with one error line
+    monkeypatch.setattr(cli, "_run_sweep_job", _dying_job)
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out,
+                 "--sweep-axis", "sparsity", "--values", "0.4", "--seeds", "2",
+                 "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "# aborted: BrokenProcessPool" in open(os.path.join(out, "sweep.csv")).read()
+
+
 def test_config_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
     # numpy refuses the ~116 TiB embedding table before allocating any of it
     encoder = {**small_config(tmp_path)["encoder"], "vocab_size": 10**12}
@@ -611,3 +630,34 @@ def test_sweep_kept_fraction_tracks_sparsity(tmp_path):
         s = float(row["s"])
         slack = (s * n_bias + len(model.prunable_groups()) + 1) / denom
         assert abs(float(row["kept_fraction"]) - (1 - s) * dense) <= slack
+
+
+def test_sweep_csv_floats_read_back(tmp_path, monkeypatch):
+    # every float cell of sweep.csv parses back to the value it was written from
+    written = []
+
+    def recording_write(path, rows, aborted=None):
+        written.extend(rows)
+        return write_sweep_csv(path, rows, aborted)
+
+    write_sweep_csv = cli._write_sweep_csv
+    monkeypatch.setattr(cli, "_write_sweep_csv", recording_write)
+    config = write_config(tmp_path)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", config, "--out", out,
+                 "--sweep-axis", "sparsity", "--values", "0.2,0.6",
+                 "--seeds", "2"]) == 0
+    with open(os.path.join(out, "sweep.csv"), newline="") as f:
+        header, *cells = list(csv.reader(f))
+    assert header == cli.SWEEP_COLUMNS
+    assert len(cells) == len(written) == 2
+    floats = 0
+    for row, values in zip(cells, written):
+        for cell, value in zip(row, values, strict=True):
+            if isinstance(value, float):
+                floats += 1
+                assert type(value) is float
+                assert float(cell).hex() == value.hex()
+            else:
+                assert cell == str(value)
+    assert floats == 2 * 6      # s, kept_fraction and four aggregate statistics

@@ -1,6 +1,9 @@
 """Training tests: schedule shape, AdamW against a straight-line reference,
 mask preservation through updates, frozen-backbone immutability, determinism."""
 
+import csv
+import io
+import json
 import math
 import threading
 
@@ -209,10 +212,26 @@ def test_metrics_structure():
     assert train_steps == list(range(1, metrics.total_steps + 1))
     assert metrics.eval_history()
     assert metrics.eval_history()[-1][0] == metrics.total_steps
-    assert all(r.kept_fraction == metrics.kept_fraction for r in metrics.records)
     # csv header contract
     assert metrics.to_csv().splitlines()[0] == \
         "step,split,loss,accuracy,lr,kept_fraction"
+
+
+def test_written_metrics_read_back():
+    # every float in metrics.csv parses back to the bits it was written from,
+    # and each row's kept_fraction is the run's one value in summary.json
+    model, data = small_setup(seed=8)
+    apply_mask(model, compute_mask(model, "random", 0.5, seed=0))
+    metrics = train(model, data, quick_opt(epochs=2, batch_size=16))
+    rows = list(csv.DictReader(io.StringIO(metrics.to_csv())))
+    kept = json.loads(metrics.summary_json())["kept_fraction"]
+    assert 0.0 < kept < 1.0
+    assert len(rows) == len(metrics.records)
+    for row, record in zip(rows, metrics.records):
+        assert (int(row["step"]), row["split"]) == (record.step, record.split)
+        for name in ("loss", "accuracy", "lr"):
+            assert float(row[name]).hex() == getattr(record, name).hex(), name
+        assert float(row["kept_fraction"]).hex() == kept.hex()
 
 
 def test_checkpoint_persisted(tmp_path):
@@ -293,8 +312,8 @@ def test_eval_divergence_reports_the_eval_step(monkeypatch, cpus, later_step_fai
 def test_evaluate_pure_and_deterministic():
     model, data = small_setup(seed=10)
     before = {n: g.tensor.data.copy() for n, g in model.groups.items()}
-    a = evaluate(model, data.eval.tokens, data.eval.labels)
-    b = evaluate(model, data.eval.tokens, data.eval.labels)
+    a = evaluate(model, data.eval.tokens, data.eval.labels, 64)
+    b = evaluate(model, data.eval.tokens, data.eval.labels, 64)
     assert a == b
     for name, g in model.groups.items():
         assert np.array_equal(g.tensor.data, before[name])
@@ -306,15 +325,15 @@ def test_evaluate_chance_level_for_constant_logits():
     model.param("head.weight").data[...] = 0.0
     model.param("head.bias").data[...] = 0.0
     labels = np.arange(32) % 4   # balanced
-    _, acc = evaluate(model, data.eval.tokens[:32], labels)
+    _, acc = evaluate(model, data.eval.tokens[:32], labels, 64)
     assert acc == pytest.approx(0.25)
 
 
 def test_steps_to_accuracy():
     m = RunMetrics(records=[
-        StepRecord(2, "eval", 1.0, 0.3, 0.1, 1.0),
-        StepRecord(4, "eval", 0.8, 0.6, 0.1, 1.0),
-        StepRecord(6, "eval", 0.7, 0.9, 0.1, 1.0),
+        StepRecord(2, "eval", 1.0, 0.3, 0.1),
+        StepRecord(4, "eval", 0.8, 0.6, 0.1),
+        StepRecord(6, "eval", 0.7, 0.9, 0.1),
     ], total_steps=6)
     assert m.steps_to_accuracy(0.5) == 4
     assert m.steps_to_accuracy(0.95) is None
