@@ -18,7 +18,7 @@ vectors are trainable but never pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ VARIANTS = ("houlsby", "pfeiffer", "lora", "mam")
 PREFIX_INIT_STD = 0.5  # prefix vectors act as extra key/value rows, so O(1) scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterSpec:
     """Which adapter variant to insert and how wide to make it.
 
@@ -48,7 +48,7 @@ class AdapterSpec:
     gaussian_std: float = 1e-2
     lora_zero_b: bool = False
 
-    def validate(self, d_model: int | None = None) -> None:
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown adapter variant '{self.variant}'")
         if self.r < 1:
@@ -57,25 +57,33 @@ class AdapterSpec:
             raise ValueError("gaussian_std must be > 0")
         if self.variant == "mam" and self.prefix_len < 1:
             raise ValueError("mam requires prefix_len >= 1")
-        if d_model is not None and self.r >= d_model:
+
+    def check_width(self, d_model: int) -> None:
+        """The one rule that needs the encoder's config too; `ExperimentConfig`
+        and `insert_adapters` both apply it."""
+        if self.r >= d_model:
             raise ValueError(f"bottleneck r={self.r} must be < d_model={d_model}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LargeSparseConfig:
     """Width-for-density trade at a fixed trainable-kept budget: scale the
     bottleneck by k and raise sparsity to 1 - 1/k."""
 
     r_base: int
     scale_k: int
-    r: int = field(init=False)
-    s: float = field(init=False)
 
     def __post_init__(self):
         if self.scale_k < 1:
             raise ValueError("scale factor k must be >= 1")
-        self.r = self.scale_k * self.r_base
-        self.s = 1.0 - 1.0 / self.scale_k
+
+    @property
+    def r(self) -> int:
+        return self.scale_k * self.r_base
+
+    @property
+    def s(self) -> float:
+        return 1.0 - 1.0 / self.scale_k
 
 
 class BottleneckAdapter:
@@ -170,7 +178,7 @@ def _add_lora(model: Model, rng: np.random.Generator, proj: str,
 
 def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
     """Register adapter parameter groups and wire them into the forward pass."""
-    spec.validate(model.cfg.d_model)
+    spec.check_width(model.cfg.d_model)
     if model.adapter_spec is not None:
         raise ValueError("model already has adapters")
 

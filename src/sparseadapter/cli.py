@@ -37,17 +37,17 @@ OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     path: str | None = None
     task: SyntheticTaskSpec | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if (self.path is None) == (self.task is None):
             raise ValueError("data must set exactly one of 'path' or 'task'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     adapter: AdapterSpec = field(default_factory=AdapterSpec)
@@ -57,8 +57,8 @@ class ExperimentConfig:
     output_dir: str = "runs"
     seed: int = 0
 
-    def validate(self) -> None:
-        self.adapter.validate(self.encoder.d_model)
+    def __post_init__(self):
+        self.adapter.check_width(self.encoder.d_model)
         seeds = {"seed": self.seed, "prune.seed": self.prune.seed,
                  "optimizer.seed": self.optimizer.seed}
         if self.data.task is not None:
@@ -69,9 +69,8 @@ class ExperimentConfig:
 
 
 def _from_dict(cls, payload, where: str):
-    """Build and validate dataclass `cls` from a JSON object, checking each
-    value against its field's annotation. A nested dataclass left out is
-    built from {}, so its defaults are validated too."""
+    """Build dataclass `cls` from a JSON object, checking each value against
+    its field's annotation; `cls` itself checks what the values mean."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: expected an object, got {type(payload).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
@@ -79,15 +78,8 @@ def _from_dict(cls, payload, where: str):
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
-    kwargs = {key: _from_json(hints[key], value, f"{where}.{key}")
-              for key, value in payload.items()}
-    for name in hints:
-        if name not in payload and dataclasses.is_dataclass(hints[name]):
-            kwargs[name] = _from_dict(hints[name], {}, f"{where}.{name}")
-    obj = cls(**kwargs)
-    if hasattr(obj, "validate"):
-        obj.validate()
-    return obj
+    return cls(**{key: _from_json(hints[key], value, f"{where}.{key}")
+                  for key, value in payload.items()})
 
 
 def _from_json(hint, value, where: str):
@@ -110,7 +102,7 @@ def _from_json(hint, value, where: str):
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a parsed JSON object."""
+    """Build an ExperimentConfig from a parsed JSON object."""
     return _from_dict(ExperimentConfig, payload, "config")
 
 
@@ -128,13 +120,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _map_seeds(cfg: ExperimentConfig, fn) -> ExperimentConfig:
-    """The checked config with `fn` applied to the model init, prune, and
-    shuffle seeds."""
-    cfg = replace(cfg, seed=fn(cfg.seed),
-                  prune=replace(cfg.prune, seed=fn(cfg.prune.seed)),
-                  optimizer=replace(cfg.optimizer, seed=fn(cfg.optimizer.seed)))
-    cfg.validate()
-    return cfg
+    """`cfg` with `fn` applied to the model init, prune, and shuffle seeds."""
+    return replace(cfg, seed=fn(cfg.seed),
+                   prune=replace(cfg.prune, seed=fn(cfg.prune.seed)),
+                   optimizer=replace(cfg.optimizer, seed=fn(cfg.optimizer.seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +173,7 @@ def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> str:
+def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> None:
     model = build_model(cfg)
     dataset = load_data(cfg)
     mask = make_mask(cfg, model, dataset)
@@ -197,10 +186,9 @@ def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> str:
     print(f"global: kept {mask.kept()}/{mask.total()} "
           f"(sparsity {1 - mask.kept_fraction():.4f})")
     print(f"wrote {path}")
-    return path
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> dict:
+def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> None:
     model = build_model(cfg)
     if mask_path:
         apply_mask(model, load_mask(mask_path))
@@ -214,20 +202,17 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> dic
         f.write(metrics.to_csv())
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
         f.write(metrics.summary_json())
-    summary = metrics.summary()
-    print(f"final eval accuracy: {summary['final_eval_accuracy']}")
+    print(f"final eval accuracy: {metrics.final_eval_accuracy}")
     print(f"artifacts in {out_dir}")
-    return summary
 
 
-def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str) -> tuple[float, float]:
+def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str) -> None:
     model = build_model(cfg)
     load_checkpoint(model, checkpoint_path)
     dataset = load_data(cfg)
     loss, acc = evaluate(model, dataset.eval.tokens, dataset.eval.labels,
                          cfg.optimizer.batch_size)
     print(f"eval loss {loss:.6f} accuracy {acc:.4f}")
-    return loss, acc
 
 
 def cmd_inspect_mask(path: str) -> None:
@@ -244,7 +229,7 @@ def cmd_inspect_mask(path: str) -> None:
 # -- sweep ------------------------------------------------------------------
 
 def _sweep_point(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    """The checked config of one point of the sweep axis."""
+    """The config of one point of the sweep axis."""
     method, s, r = cfg.prune.method, cfg.prune.s, cfg.adapter.r
     if axis == "sparsity":
         s = float(value)
@@ -255,9 +240,8 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConf
         s, r = ls.s, ls.r
     else:
         raise ValueError(f"unknown sweep axis '{axis}'")
-    return parse_config(dataclasses.asdict(
-        replace(cfg, adapter=replace(cfg.adapter, r=r),
-                prune=replace(cfg.prune, method=method, s=s))))
+    return replace(cfg, adapter=replace(cfg.adapter, r=r),
+                   prune=replace(cfg.prune, method=method, s=s))
 
 
 def _run_sweep_job(job: tuple[ExperimentConfig, int]) -> tuple[float, float, int]:
@@ -354,6 +338,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override model/prune/shuffle seeds with one value")
 
 
+# each character that str.splitlines breaks at, as its escape sequence
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sparseadapter",
@@ -402,12 +390,10 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, args.checkpoint)
         return 0
-    except NumericError as exc:         # training.TrainingDiverged included
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, MemoryError, BrokenExecutor) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (NumericError, ValueError, OSError, MemoryError, BrokenExecutor) as exc:
+        # one line, even where the message quotes a name with a line break in it
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        return 3 if isinstance(exc, NumericError) else 1   # TrainingDiverged included
 
 
 if __name__ == "__main__":

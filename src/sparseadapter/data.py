@@ -40,7 +40,7 @@ class SyntheticTaskSpec:
     noise_rate: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task '{self.task}'")
         if self.n_classes < 2:
@@ -99,7 +99,6 @@ def _sample_row(spec: SyntheticTaskSpec, rng: np.random.Generator) -> tuple[np.n
 
 def generate(spec: SyntheticTaskSpec) -> TaskData:
     """Generate disjoint train/eval splits, deterministic in spec.seed."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_eval
     rows = np.zeros((total, spec.seq_len), dtype=np.int64)

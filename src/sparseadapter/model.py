@@ -25,7 +25,7 @@ CHECKPOINT_MAGIC = b"SACP"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Shape of the frozen backbone. Defaults are the desk-scale setup."""
 
@@ -37,7 +37,7 @@ class EncoderConfig:
     max_seq_len: int = 64
     n_classes: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_layers",
                      "max_seq_len", "n_classes"):
             if getattr(self, name) < 1:
@@ -178,7 +178,6 @@ def _xavier(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
 
 def build_encoder(cfg: EncoderConfig, seed: int) -> Model:
     """Deterministically initialized encoder; every backbone group starts trainable."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     m = Model(cfg)
     d = cfg.d_model

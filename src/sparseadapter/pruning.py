@@ -266,7 +266,7 @@ def apply_mask(model: Model, mask: PruneMask) -> None:
 PRUNE_METHODS = ("random", "magnitude", "er", "snip", "grasp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneConfig:
     """The `compute_mask` arguments of a run, plus how many training batches
     snip and grasp score on."""
@@ -277,7 +277,7 @@ class PruneConfig:
     snip_abs: bool = False
     score_batches: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in PRUNE_METHODS:
             raise ValueError(f"unknown prune method '{self.method}'")
         if not 0.0 <= self.s < 1.0:

@@ -45,7 +45,7 @@ class TrainingDiverged(ad.NumericError):
         return f"training diverged at step {self.step}: {self.args[1]}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.98
@@ -56,7 +56,7 @@ class OptimizerConfig:
     batch_size: int = 32
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be > 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -276,7 +276,6 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
     run has to itself (default: every CPU this process may use); with 2 or
     more, each evaluation overlaps the following training steps.
     """
-    cfg.validate()
     if len(dataset.train.labels) == 0:
         raise ValueError("train: empty training split")
     active_mask = model.mask

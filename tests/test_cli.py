@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from sparseadapter import cli
-from sparseadapter.cli import (ExperimentConfig, cmd_sweep, load_config, main,
-                               parse_config, serialize_config)
+from sparseadapter.adapters import AdapterSpec, LargeSparseConfig
+from sparseadapter.cli import (DataConfig, ExperimentConfig, cmd_sweep, load_config,
+                               main, parse_config, serialize_config)
+from sparseadapter.data import SyntheticTaskSpec
+from sparseadapter.model import EncoderConfig
+from sparseadapter.pruning import PruneConfig
+from sparseadapter.training import OptimizerConfig
 
 
 def small_config(tmp_path, **overrides) -> dict:
@@ -79,6 +84,28 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.optimizer.beta2 == 0.98
     assert cfg.optimizer.weight_decay == 0.1
     assert cfg.optimizer.warmup_fraction == 0.10
+
+
+@pytest.mark.parametrize("cls,valid,bad", [
+    (EncoderConfig, {}, {"d_model": 0}),
+    (AdapterSpec, {}, {"variant": "nope"}),
+    (PruneConfig, {}, {"s": 1.0}),
+    (OptimizerConfig, {}, {"beta1": 1.0}),
+    (SyntheticTaskSpec, {}, {"n_classes": 1}),
+    (DataConfig, {"path": "data"}, {"task": SyntheticTaskSpec()}),
+    (ExperimentConfig, {"data": DataConfig(path="data")}, {"seed": -1}),
+    (LargeSparseConfig, {"r_base": 64, "scale_k": 2}, {"scale_k": 0}),
+])
+def test_config_checks_itself_when_made(cls, valid, bad):
+    # so no config can exist, whether made, replaced or changed, that fails its checks
+    with pytest.raises(ValueError):
+        cls(**{**valid, **bad})
+    cfg = cls(**valid)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, **bad)
+    (key, value), = bad.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, key, value)
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -275,6 +275,7 @@ def overwritten(valid: bytes):
 @example(leaf=("encoder", "d_model"), text=DEEP)
 @example(leaf=("optimizer", "beta2"), text="1.0")
 @example(leaf=("prune", "seed"), text="9223372036854775808")
+@example(leaf=("adapter", "variant"), text=json.dumps("a\nb"))
 def test_prune_exit_code_for_any_config_value(leaf, text, scratch):
     payload = json.loads(json.dumps(CLI_CONFIG))
     node = payload
@@ -303,6 +304,7 @@ def test_eval_exit_code_for_any_checkpoint_bytes(blob, scratch):
 @given(blob=with_header(b"SADM") | overwritten(CLI_MASK))
 @example(blob=CLI_MASK)
 @example(blob=EMPTY_GROUP_MASK)
+@example(blob=CLI_MASK[:395] + b"\n\x01" + CLI_MASK[397:])
 def test_inspect_mask_exit_code_for_any_bytes(blob, scratch):
     mask = scratch / "any.sadm"
     mask.write_bytes(blob)
