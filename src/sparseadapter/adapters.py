@@ -1,16 +1,16 @@
 """Adapter variants plugged into the encoder, and their budget `kept_param_fraction`.
 
-Every delta site is one call, ``site(base, x)`` = base + delta(x) (He et al.,
-2022): the caller computes the backbone's own output `base`, and the variants
-differ only in where it reads `x`.
+Every delta site is one call, ``site(base, x)`` = base + delta(h) (He et al.,
+2022): the encoder computes the backbone's own output `base` and passes `x`,
+the input of the block that made it, and the site picks h. A serial site
+reads h = base, a parallel one h = x.
   * houlsby  - serial bottleneck after attention and after FFN, every layer
-               (x = base)
-  * pfeiffer - serial bottleneck after FFN only (x = base)
+  * pfeiffer - serial bottleneck after FFN only
   * lora     - rank decomposition beside the attention q/v projections
-               (base = the projection, x = its input)
-  * mam      - parallel bottleneck at FFN (base = the FFN output, x = its
-               input) plus learned prefix key/value rows, which `PrefixSite`
-               puts in front of each sequence's own key/value rows
+               (base = the projection, h = x = its input)
+  * mam      - parallel bottleneck at FFN (base = the FFN output, h = x = its
+               normed input) plus learned prefix key/value rows, which
+               `PrefixSite` puts in front of each sequence's own key/value rows
 
 Adapter weight matrices are the prunable parameter set; biases and prefix
 vectors are trainable but never pruned.
@@ -89,8 +89,8 @@ class LargeSparseConfig:
 class BottleneckAdapter:
     """Bottleneck delta W_up . gelu(W_down . x + b_down) + b_up, times `scale`.
 
-    A serial site reads x = base; a ``parallel`` site (mam) reads the FFN's
-    input and is scaled like LoRA by alpha/r.
+    A serial site applies it to `base`; a ``parallel`` site (mam) applies it to
+    the block input `x` and is scaled like LoRA by alpha/r.
     """
 
     def __init__(self, down_w: Tensor, down_b: Tensor, up_w: Tensor, up_b: Tensor,
@@ -108,7 +108,7 @@ class BottleneckAdapter:
         return out if self.scale == 1.0 else ad.scale(out, self.scale)
 
     def __call__(self, base: Tensor, x: Tensor) -> Tensor:
-        return ad.add(base, self.delta(x))
+        return ad.add(base, self.delta(x if self.parallel else base))
 
 
 class LoraProjection:

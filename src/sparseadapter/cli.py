@@ -59,10 +59,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.adapter.check_width(self.encoder.d_model)
+        task = self.data.task
+        for need, cap in (("vocab", "vocab_size"), ("seq_len", "max_seq_len"),
+                          ("n_classes", "n_classes")):
+            if task is not None and getattr(task, need) > getattr(self.encoder, cap):
+                raise ValueError(f"data.task.{need}={getattr(task, need)} exceeds "
+                                 f"encoder.{cap}={getattr(self.encoder, cap)}")
         seeds = {"seed": self.seed, "prune.seed": self.prune.seed,
                  "optimizer.seed": self.optimizer.seed}
-        if self.data.task is not None:
-            seeds["data.task.seed"] = self.data.task.seed
+        if task is not None:
+            seeds["data.task.seed"] = task.seed
         for name, seed in seeds.items():    # numpy refuses < 0; SADM stores an int64
             if not 0 <= seed < 2**63:
                 raise ValueError(f"{name} must be in [0, 2**63), got {seed}")
@@ -174,17 +180,11 @@ def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> None:
-    model = build_model(cfg)
-    dataset = load_data(cfg)
-    mask = make_mask(cfg, model, dataset)
+    mask = make_mask(cfg, build_model(cfg), load_data(cfg))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mask.sadm")
     save_mask(mask, path)
-    print(f"method={mask.method} s={mask.s} seed={mask.seed}")
-    for name, kept, total in mask.group_stats():
-        print(f"  {name}: kept {kept}/{total} (sparsity {1 - kept / total:.4f})")
-    print(f"global: kept {mask.kept()}/{mask.total()} "
-          f"(sparsity {1 - mask.kept_fraction():.4f})")
+    cmd_inspect_mask(path)      # the report of the file as written
     print(f"wrote {path}")
 
 
@@ -217,13 +217,11 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str) -> None:
 
 def cmd_inspect_mask(path: str) -> None:
     mask = load_mask(path)
-    print(f"method={mask.method} s={mask.s} seed={mask.seed} "
-          f"groups={len(mask.masks)}")
+    print(f"method={mask.method} s={mask.s} seed={mask.seed} groups={len(mask.masks)}")
     for name, kept, total in mask.group_stats():
-        print(f"  {name}: {total} bits, kept {kept} "
-              f"(sparsity {1 - kept / total:.4f})")
-    total = mask.total()
-    print(f"global sparsity {1 - mask.kept_fraction():.4f} over {total} bits")
+        print(f"  {name}: kept {kept}/{total} (sparsity {1 - kept / total:.4f})")
+    print(f"global: kept {mask.kept()}/{mask.total()} "
+          f"(sparsity {1 - mask.kept_fraction():.4f})")
 
 
 # -- sweep ------------------------------------------------------------------
@@ -285,7 +283,7 @@ def _write_sweep_csv(path: str, rows: list[tuple], aborted: str | None = None) -
 
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
-              seeds: int = 3, workers: int = 1) -> str:
+              seeds: int, workers: int) -> str:
     if seeds < 1 or workers < 1:
         raise ValueError(f"--seeds and --workers must be >= 1, got {seeds} and {workers}")
     if cfg.optimizer.epochs < 1:    # no eval runs, so a row has no final accuracy

@@ -4,10 +4,10 @@ A pre-layer-norm classifier stands in for a big pretrained backbone: token +
 position embeddings (`take_rows`), attention (one fused op) and FFN blocks on
 a (batch * seq, d) residual stream, a final norm, mean pooling, a linear head.
 Adapters hook in through ``adapter_sites``. The forward computes each base
-itself, the q/v projection (lora), the attention output (houlsby) or the FFN
-output (houlsby, pfeiffer, mam), and a site returns ``site(base, x)`` = base +
-delta(x), with x the FFN's input for a parallel site and the base otherwise.
-mam's prefix site puts its key/value rows in front of each sequence's own.
+itself, the q/v projection, the attention output or the FFN output, and calls
+``site(base, x)`` with x the input of the block that made it; the site picks
+what it reads (see sparseadapter.adapters). mam's prefix site puts its
+key/value rows in front of each sequence's own.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class Model:
 
             site = self.adapter_sites.get(f"{pre}.attn.adapter")
             if site is not None:
-                attn_out = site(attn_out, attn_out)
+                attn_out = site(attn_out, ln1)
             x = ad.add(x, attn_out)
 
             ln2 = ad.layer_norm(x, self.param(f"{pre}.ffn.ln.gamma"),
@@ -156,7 +156,7 @@ class Model:
 
             site = self.adapter_sites.get(f"{pre}.ffn.adapter")
             if site is not None:
-                ffn = site(ffn, ln2 if site.parallel else ffn)
+                ffn = site(ffn, ln2)
             x = ad.add(x, ffn)
 
         hf = ad.layer_norm(x, self.param("final_ln.gamma"), self.param("final_ln.beta"))

@@ -137,6 +137,19 @@ def test_bottleneck_matches_straight_line_reference():
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("parallel", [False, True])
+def test_bottleneck_site_picks_what_it_reads(parallel):
+    # the encoder passes every site (base, block input); a serial site reads
+    # base, a parallel one the block input
+    rng = np.random.default_rng(4)
+    a = _rand_bottleneck(rng, 8, 3)
+    a.parallel = parallel
+    base, x = Tensor(rng.normal(0, 1, (5, 8))), Tensor(rng.normal(0, 1, (5, 8)))
+    read = x if parallel else base
+    expected = base.data + a.delta(read).data
+    assert np.array_equal(a(base, x).data, expected)
+
+
 def test_lora_matches_reference_and_is_linear():
     rng = np.random.default_rng(3)
     d, r, alpha = 10, 3, 16.0

@@ -179,6 +179,15 @@ def test_prune_then_inspect(tmp_path, capsys):
     assert "s=0.4" in report
 
 
+def test_prune_prints_the_report_of_the_file_it_wrote(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["prune", "--config", write_config(tmp_path), "--out", out]) == 0
+    printed = capsys.readouterr().out
+    mask_path = os.path.join(out, "mask.sadm")
+    assert main(["inspect-mask", "--mask", mask_path]) == 0
+    assert printed == capsys.readouterr().out + f"wrote {mask_path}\n"
+
+
 def test_prune_is_byte_deterministic(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -487,6 +496,19 @@ def test_infeasible_task_spec_is_an_error_line(tmp_path, capsys):
         "n_train": 500, "n_eval": 100}})
     assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.startswith("error: SyntheticTaskSpec(")
+
+
+@pytest.mark.parametrize("key,value,cap", [("vocab", 100, "vocab_size=60"),
+                                           ("seq_len", 17, "max_seq_len=16"),
+                                           ("n_classes", 6, "n_classes=4")])
+def test_task_that_does_not_fit_the_encoder_is_an_error_line(tmp_path, capsys, key, value,
+                                                             cap):
+    task = dict(small_config(tmp_path)["data"]["task"], **{key: value})
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, data={"task": task}),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: data.task.{key}={value} exceeds encoder.{cap}\n"
+    assert not out.exists()
 
 
 def test_sweep_large_sparse_axis(tmp_path):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -307,6 +308,14 @@ def test_eval_divergence_reports_the_eval_step(monkeypatch, cpus, later_step_fai
     assert "forced in the eval" in str(info.value)
     assert threading.active_count() == threads
     assert calls == [(cpus == 1, cpus == 1)] * 2
+
+
+def test_available_cpus_without_an_affinity_call(monkeypatch):
+    # macOS has no sched_getaffinity: the CPU count decides, 1 when unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, cpus in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert training.available_cpus() == cpus
 
 
 def test_evaluate_pure_and_deterministic():
