@@ -348,3 +348,52 @@ def test_steps_to_accuracy():
     assert m.steps_to_accuracy(0.95) is None
     assert m.final_eval_accuracy == 0.9
     assert m.best_eval_accuracy == 0.9
+
+
+SUMMARY_WITH_EVALS = """{
+  "best_eval_accuracy": 0.9,
+  "final_eval_accuracy": 0.9,
+  "final_eval_loss": 0.7,
+  "kept_fraction": 0.625,
+  "steps_to_threshold": {
+    "0.5": 4,
+    "0.6": 4,
+    "0.7": 6,
+    "0.8": 6,
+    "0.9": 6
+  },
+  "total_steps": 6
+}
+"""
+
+SUMMARY_WITHOUT_EVALS = """{
+  "best_eval_accuracy": null,
+  "final_eval_accuracy": null,
+  "final_eval_loss": null,
+  "kept_fraction": 0.5,
+  "steps_to_threshold": {
+    "0.5": null,
+    "0.6": null,
+    "0.7": null,
+    "0.8": null,
+    "0.9": null
+  },
+  "total_steps": 4
+}
+"""
+
+
+def test_summary_json_bytes():
+    # summary.json as train writes it; the train records, one more accurate
+    # than any eval, count toward none of the eval fields
+    train_1 = StepRecord(1, "train", 1.25, 0.25, 0.05)
+    with_evals = RunMetrics(records=[
+        train_1,
+        StepRecord(2, "eval", 1.0, 0.3, 0.1),
+        StepRecord(4, "eval", 0.8, 0.6, 0.1),
+        StepRecord(5, "train", 0.5, 0.95, 0.1),
+        StepRecord(6, "eval", 0.7, 0.9, 0.1),
+    ], kept_fraction=0.625, total_steps=6)
+    assert with_evals.summary_json() == SUMMARY_WITH_EVALS
+    without_evals = RunMetrics(records=[train_1], kept_fraction=0.5, total_steps=4)
+    assert without_evals.summary_json() == SUMMARY_WITHOUT_EVALS
