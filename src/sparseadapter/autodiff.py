@@ -82,10 +82,7 @@ def no_grad() -> Iterator[None]:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # The sum of any array containing a NaN/Inf is itself non-finite, and
-    # desk-scale magnitudes cannot overflow a float64 accumulator, so one
-    # reduction replaces a full isfinite scan.
-    return math.isfinite(float(np.add.reduce(arr, axis=None)))
+    return bool(np.isfinite(arr).all())
 
 
 class Tensor:
@@ -414,7 +411,7 @@ def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False)
         gg = g if keepdims or nd == 0 else ops.reshape(g, kd_shape)
         return (ops.broadcast_to(gg, orig),)
 
-    return _from_op("sum", _Arrays.tsum(a.data, norm, keepdims), (a,), vjp)
+    return _from_op("tsum", _Arrays.tsum(a.data, norm, keepdims), (a,), vjp)
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -431,7 +428,7 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         r = ops.tsum(g, axes=reduce_axes, keepdims=True) if reduce_axes else g
         return (ops.reshape(r, orig),)
 
-    return _from_op("broadcast", _Arrays.broadcast_to(a.data, shape), (a,), vjp)
+    return _from_op("broadcast_to", _Arrays.broadcast_to(a.data, shape), (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -451,7 +448,7 @@ def powc(a: Tensor, p: float) -> Tensor:
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out_data = _Arrays.powc(a.data, p)
-    return _from_op("pow", out_data, (a,), vjp)
+    return _from_op("powc", out_data, (a,), vjp)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -461,7 +458,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.pad_axis(g, axis, start, total),)
 
-    return _from_op("slice", _Arrays.slice_axis(a.data, axis, start, stop), (a,), vjp)
+    return _from_op("slice_axis", _Arrays.slice_axis(a.data, axis, start, stop), (a,), vjp)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
@@ -474,7 +471,7 @@ def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.slice_axis(g, axis, before, before + length),)
 
-    return _from_op("pad", _Arrays.pad_axis(a.data, axis, before, total), (a,), vjp)
+    return _from_op("pad_axis", _Arrays.pad_axis(a.data, axis, before, total), (a,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -505,9 +502,9 @@ def take_rows(w: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused ops used by the encoder: affine, softmax, attention, layernorm, gelu,
-# cross-entropy. Each is one node whose value comes from one `_Arrays` chain;
-# every vjp is still expressed in ops, so hvp stays exact.
+# Fused ops used by the encoder: affine, softmax_last, attention, layer_norm,
+# gelu, cross_entropy_logits. Each is one node whose value comes from one
+# `_Arrays` chain; every vjp is still expressed in ops, so hvp stays exact.
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -532,7 +529,7 @@ def softmax_last(x: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return (_softmax_vjp(ops, g, ops.softmax_last(ops.val(x))),)
 
-    return _from_op("softmax", _Arrays.softmax_last(x.data), (x,), vjp)
+    return _from_op("softmax_last", _Arrays.softmax_last(x.data), (x,), vjp)
 
 
 def _softmax_vjp(ops, g, p):
@@ -591,8 +588,8 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         delta = ops.scale(ops.sub(probs, ops.val(onehot)), 1.0 / n)
         return (ops.mul(ops.broadcast_to(ops.reshape(g, (1, 1)), (n, c)), delta),)
 
-    return _from_op("cross_entropy", _Arrays.cross_entropy_logits(logits.data, labels),
-                    (logits,), vjp)
+    return _from_op("cross_entropy_logits",
+                    _Arrays.cross_entropy_logits(logits.data, labels), (logits,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -629,7 +626,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gbeta = ops.tsum(g, axes=lead) if lead else g
         return gx, ggamma, gbeta
 
-    return _from_op("layernorm", _Arrays.layer_norm(x.data, gamma.data, beta.data, eps),
+    return _from_op("layer_norm", _Arrays.layer_norm(x.data, gamma.data, beta.data, eps),
                     (x, gamma, beta), vjp)
 
 
@@ -681,9 +678,9 @@ class Tape:
 
 # The parents whose values each op's vjp reads through `ops.val`, by op name.
 # Every other vjp uses only its incoming gradient and what the forward fixed.
-_VJP_READS = {"mul": (0, 1), "matmul": (0, 1), "tanh": (0,), "pow": (0,),
-              "affine": (0, 1), "softmax": (0,), "attention": (0, 1, 2),
-              "cross_entropy": (0,), "layernorm": (0, 1), "gelu": (0,)}
+_VJP_READS = {"mul": (0, 1), "matmul": (0, 1), "tanh": (0,), "powc": (0,),
+              "affine": (0, 1), "softmax_last": (0,), "attention": (0, 1, 2),
+              "cross_entropy_logits": (0,), "layer_norm": (0, 1), "gelu": (0,)}
 
 
 def _release_unread(outs, first_id: int) -> None:

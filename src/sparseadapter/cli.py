@@ -3,12 +3,10 @@ sweep / eval / inspect-mask subcommands.
 
 Every successful run leaves a re-runnable set of artifacts in the output
 directory: the exact config, the step metrics CSV, a summary JSON, and the
-final checkpoint. With --workers above 1, sweep jobs run in worker
-processes, at most --workers and at most one per job; with --workers 1 they
-run one after another in the calling process. Either way the coordinator
-aggregates them into one CSV. Each job gets an equal share of the CPUs, which
-decides whether its evaluations overlap its training (see
-sparseadapter.training).
+final checkpoint. Sweep jobs run in worker processes, at most --workers and
+at most one per job, and the coordinator aggregates them into one CSV. Each
+job gets an equal share of the CPUs, which decides whether its evaluations
+overlap its training (see sparseadapter.training).
 """
 
 from __future__ import annotations
@@ -308,13 +306,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
 
     results: list[tuple] = []
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for res in pool.map(_run_sweep_job, jobs):
-                    results.append(res)
-        else:
-            for job in jobs:
-                results.append(_run_sweep_job(job))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for res in pool.map(_run_sweep_job, jobs):
+                results.append(res)
     except Exception as exc:
         _write_sweep_csv(csv_path, _sweep_rows(points, results, seeds),
                          aborted=f"{type(exc).__name__}: {exc}")
@@ -328,14 +322,6 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
 # argparse front end
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to experiment JSON")
-    p.add_argument("--out", default=None,
-                   help=f"output directory (env {OUT_ENV_VAR} overrides)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override model/prune/shuffle seeds with one value")
-
-
 # each character that str.splitlines breaks at, as its escape sequence
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
@@ -346,15 +332,20 @@ def main(argv=None) -> int:
         description="Prune adapter modules at initialization and fine-tune the rest.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prune", help="score, threshold, and write a mask file")
-    _add_common(p)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to experiment JSON")
+    run = argparse.ArgumentParser(add_help=False, parents=[config])
+    run.add_argument("--out", default=None,
+                     help=f"output directory (env {OUT_ENV_VAR} overrides)")
+    run.add_argument("--seed", type=int, default=None,
+                     help="override model/prune/shuffle seeds with one value")
 
-    p = sub.add_parser("train", help="fine-tune (optionally under a mask)")
-    _add_common(p)
+    sub.add_parser("prune", parents=[run], help="score, threshold, and write a mask file")
+
+    p = sub.add_parser("train", parents=[run], help="fine-tune (optionally under a mask)")
     p.add_argument("--mask", default=None, help="path to a mask file")
 
-    p = sub.add_parser("sweep", help="grid of prune+train runs, aggregated CSV")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[run], help="grid of prune+train runs, aggregated CSV")
     p.add_argument("--sweep-axis", required=True,
                    choices=["sparsity", "method", "large-sparse"])
     p.add_argument("--values", required=True,
@@ -362,8 +353,8 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=3, help="runs per point")
     p.add_argument("--workers", type=int, default=1, help="parallel jobs")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the eval split")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[config],
+                       help="evaluate a checkpoint on the eval split")
     p.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("inspect-mask", help="report the contents of a mask file")
@@ -375,6 +366,9 @@ def main(argv=None) -> int:
             cmd_inspect_mask(args.mask)
             return 0
         cfg = load_config(args.config)
+        if args.command == "eval":
+            cmd_eval(cfg, args.checkpoint)
+            return 0
         if args.seed is not None:
             cfg = _map_seeds(cfg, lambda _: args.seed)
         out_dir = resolve_out(args.out, cfg)
@@ -382,11 +376,9 @@ def main(argv=None) -> int:
             cmd_prune(cfg, out_dir)
         elif args.command == "train":
             cmd_train(cfg, out_dir, args.mask)
-        elif args.command == "sweep":
+        else:
             cmd_sweep(cfg, args.sweep_axis, args.values.split(","), out_dir,
                       seeds=args.seeds, workers=args.workers)
-        elif args.command == "eval":
-            cmd_eval(cfg, args.checkpoint)
         return 0
     except (NumericError, ValueError, OSError, MemoryError, BrokenExecutor) as exc:
         # one line, even where the message quotes a name with a line break in it

@@ -143,30 +143,17 @@ class RunMetrics:
     kept_fraction: float = 1.0
     total_steps: int = 0
 
-    def eval_history(self) -> list[tuple[int, float]]:
-        return [(r.step, r.accuracy) for r in self.records if r.split == "eval"]
+    def evals(self) -> list[StepRecord]:
+        return [r for r in self.records if r.split == "eval"]
 
     @property
     def final_eval_accuracy(self) -> float | None:
-        hist = self.eval_history()
-        return hist[-1][1] if hist else None
-
-    @property
-    def best_eval_accuracy(self) -> float | None:
-        hist = self.eval_history()
-        return max(a for _, a in hist) if hist else None
-
-    @property
-    def final_eval_loss(self) -> float | None:
-        losses = [r.loss for r in self.records if r.split == "eval"]
-        return losses[-1] if losses else None
+        evals = self.evals()
+        return evals[-1].accuracy if evals else None
 
     def steps_to_accuracy(self, threshold: float) -> int | None:
         """First step whose eval accuracy reaches `threshold`, else None."""
-        for step, acc in self.eval_history():
-            if acc >= threshold:
-                return step
-        return None
+        return next((r.step for r in self.evals() if r.accuracy >= threshold), None)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -176,20 +163,18 @@ class RunMetrics:
                          for r in self.records)
         return buf.getvalue()
 
-    def summary(self) -> dict:
-        thresholds = {f"{t:.1f}": self.steps_to_accuracy(t)
-                      for t in (0.5, 0.6, 0.7, 0.8, 0.9)}
-        return {
+    def summary_json(self) -> str:
+        evals = self.evals()
+        summary = {
             "final_eval_accuracy": self.final_eval_accuracy,
-            "best_eval_accuracy": self.best_eval_accuracy,
-            "final_eval_loss": self.final_eval_loss,
+            "best_eval_accuracy": max((r.accuracy for r in evals), default=None),
+            "final_eval_loss": evals[-1].loss if evals else None,
             "total_steps": self.total_steps,
             "kept_fraction": self.kept_fraction,
-            "steps_to_threshold": thresholds,
+            "steps_to_threshold": {f"{t:.1f}": self.steps_to_accuracy(t)
+                                   for t in (0.5, 0.6, 0.7, 0.8, 0.9)},
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,

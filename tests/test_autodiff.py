@@ -3,8 +3,10 @@ contracts, the two vjp backends, tape topology, determinism."""
 
 import contextlib
 import gc
+import inspect
 import sys
 import threading
+import warnings
 import zlib
 
 import numpy as np
@@ -179,6 +181,9 @@ def test_vjps_read_exactly_the_declared_parents():
             got = {i for i, parent in enumerate(node._parents) if any(t is parent for t in read)}
             declared = set(ad._VJP_READS.get(node._op, ())) & set(range(len(node._parents)))
             assert got == declared, (case, node._op)
+            # each node is named after the autodiff function that made it
+            assert inspect.isfunction(getattr(ad, node._op, None)) and \
+                node._vjp.__qualname__ == f"{node._op}.<locals>.vjp", (case, node._op)
             ops_seen.add(node._op)
     assert ops_seen >= ad._VJP_READS.keys()
 
@@ -225,6 +230,20 @@ def test_nan_error_names_the_op():
     a = ad.Tensor(np.array([1.0, -1.0]), requires_grad=True)
     with pytest.raises(ad.NumericError, match="pow"):
         ad.powc(a, 0.5)
+
+
+def test_finite_values_whose_sum_overflows_are_finite():
+    # each element is checked, not a sum that a finite array can overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = ad.Tensor(np.array([1e308, 1e308]))
+        joined = ad.concat([ad.Tensor(np.array([1.7e308])), ad.Tensor(np.array([1.7e308]))],
+                           axis=0)
+    assert big.data.tolist() == [1e308, 1e308]
+    assert joined.data.tolist() == [1.7e308, 1.7e308]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ad.NumericError, match="non-finite values in tensor literal"):
+            ad.Tensor(np.array([1.0, bad]))
 
 
 def test_shape_errors():
@@ -494,7 +513,7 @@ def _layer_norm_overflowing_in_its_vjp():
 def test_overflow_that_comes_back_finite_still_raises():
     loss, params = _layer_norm_overflowing_in_its_vjp()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(ad.NumericError, match="'layernorm'"):
+        with pytest.raises(ad.NumericError, match="'layer_norm'"):
             ad.backward(loss, params)
 
 
@@ -503,7 +522,7 @@ def test_failing_first_order_backward_runs_once(monkeypatch):
     loss, params = _layer_norm_overflowing_in_its_vjp()
     calls = _count_engine_ops(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(ad.NumericError, match="'layernorm'"):
+        with pytest.raises(ad.NumericError, match="'layer_norm'"):
             ad.backward(loss, params)
     assert calls == []
 

@@ -223,6 +223,16 @@ def test_train_with_mask_and_eval(tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--out", "elsewhere")])
+def test_eval_refuses_flags_it_does_not_read(tmp_path, capsys, flag, value):
+    # eval writes no file, and the checkpoint overwrites every seeded group
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--config", write_config(tmp_path),
+              "--checkpoint", str(tmp_path / "c.sacp"), flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_corrupt_mask_clean_error_no_artifacts(tmp_path, capsys):
     config = write_config(tmp_path)
     out = str(tmp_path / "run")
@@ -615,9 +625,9 @@ def in_process_pool(sizes: list):
 
 
 @pytest.mark.parametrize("workers,seeds,pools", [("64", "2", [2]), ("2", "3", [2]),
-                                                 ("3", "1", [])])
+                                                 ("3", "1", [1])])
 def test_sweep_workers_capped_at_job_count(tmp_path, monkeypatch, workers, seeds, pools):
-    # one job runs on the serial path, with no pool at all
+    # the pool never holds more workers than there are jobs
     made = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(made))
     config = write_config(tmp_path)

@@ -161,6 +161,23 @@ def test_empty_file_rejected(tmp_path):
         read_jsonl(path)
 
 
+def test_blank_lines_hold_no_record_but_keep_their_line_numbers(tmp_path):
+    rows = ['{"tokens": [1, 2], "label": 0}', '{"tokens": [3, 4], "label": 1}']
+    plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+    plain.write_text("\n".join(rows) + "\n")
+    spaced.write_text(rows[0] + "\n\n" + rows[1] + "\n\n")
+    a, b = read_jsonl(str(plain)), read_jsonl(str(spaced))
+    assert np.array_equal(a.tokens, b.tokens) and np.array_equal(a.labels, b.labels)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(rows[0] + "\n\n" + '{"tokens": "oops"}\n')
+    with pytest.raises(ValueError, match="bad.jsonl:3: bad dataset record"):
+        read_jsonl(str(bad))
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n \n\n")
+    with pytest.raises(ValueError, match="blank.jsonl: empty dataset"):
+        read_jsonl(str(blank))
+
+
 def test_marker_band_layout():
     # class markers occupy the low token ids, one band per class
     data = generate(spec())

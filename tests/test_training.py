@@ -211,8 +211,8 @@ def test_metrics_structure():
     assert metrics.total_steps == 2 * steps_per_epoch
     train_steps = [r.step for r in metrics.records if r.split == "train"]
     assert train_steps == list(range(1, metrics.total_steps + 1))
-    assert metrics.eval_history()
-    assert metrics.eval_history()[-1][0] == metrics.total_steps
+    assert metrics.evals()
+    assert metrics.evals()[-1].step == metrics.total_steps
     # csv header contract
     assert metrics.to_csv().splitlines()[0] == \
         "step,split,loss,accuracy,lr,kept_fraction"
@@ -270,7 +270,7 @@ def test_overlapped_evals_match_evals_in_line(monkeypatch):
     assert len(states) == 2
     assert overlapped.to_csv() == inline.to_csv()
     assert overlapped.records == inline.records
-    assert len(inline.eval_history()) == 6
+    assert len(inline.evals()) == 6
     for moments in ("m", "v"):
         a, b = getattr(states[0], moments), getattr(states[1], moments)
         assert {n: x.tobytes() for n, x in a.items()} == \
@@ -347,7 +347,7 @@ def test_steps_to_accuracy():
     assert m.steps_to_accuracy(0.5) == 4
     assert m.steps_to_accuracy(0.95) is None
     assert m.final_eval_accuracy == 0.9
-    assert m.best_eval_accuracy == 0.9
+    assert json.loads(m.summary_json())["best_eval_accuracy"] == 0.9
 
 
 SUMMARY_WITH_EVALS = """{
