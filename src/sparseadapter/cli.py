@@ -25,11 +25,13 @@ import numpy as np
 
 from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters
 from .autodiff import NumericError
-from .data import SyntheticTaskSpec, TaskData, generate, load_dir
+from .data import Split, SyntheticTaskSpec, TaskData, generate, load_dir, \
+    record_line
 from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
+from .parallel import available_cpus
 from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
-from .training import OptimizerConfig, available_cpus, evaluate, train
+from .training import OptimizerConfig, evaluate, train
 
 OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
@@ -141,10 +143,36 @@ def build_model(cfg: ExperimentConfig) -> Model:
     return model
 
 
+def _check_fits(split: Split, path: str, enc: EncoderConfig) -> None:
+    """Refuse a file split that holds a row the encoder cannot take, naming
+    the row's line and the config field it breaks."""
+    tokens, labels = split.tokens, split.labels
+    bad_tokens = (tokens < 0) | (tokens >= enc.vocab_size)
+    bad_labels = (labels < 0) | (labels >= enc.n_classes)
+    if tokens.shape[1] > enc.max_seq_len:     # every row has the same length
+        row, what = 0, (f"sequence length {tokens.shape[1]} exceeds "
+                        f"encoder.max_seq_len={enc.max_seq_len}")
+    elif bad_tokens.any():
+        row = int(np.argmax(bad_tokens.any(axis=1)))
+        what = (f"token {tokens[row][bad_tokens[row]][0]} outside "
+                f"[0, encoder.vocab_size={enc.vocab_size})")
+    elif bad_labels.any():
+        row = int(np.argmax(bad_labels))
+        what = f"label {labels[row]} outside [0, encoder.n_classes={enc.n_classes})"
+    else:
+        return
+    raise ValueError(f"{path}:{record_line(path, row)}: {what}")
+
+
 def load_data(cfg: ExperimentConfig) -> TaskData:
+    """The config's dataset; a synthetic task fits the encoder by the config's
+    own check, and a file dataset is checked here, before any file is written."""
     if cfg.data.task is not None:
         return generate(cfg.data.task)
-    return load_dir(cfg.data.path)
+    data = load_dir(cfg.data.path)
+    for name, split in (("train", data.train), ("eval", data.eval)):
+        _check_fits(split, os.path.join(cfg.data.path, f"{name}.jsonl"), cfg.encoder)
+    return data
 
 
 def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
@@ -158,10 +186,11 @@ def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
     return batches
 
 
-def make_mask(cfg: ExperimentConfig, model: Model, dataset: TaskData):
+def make_mask(cfg: ExperimentConfig, model: Model, dataset: TaskData, cpus: int):
+    """The mask of `cfg.prune`, scored on `cpus` CPUs."""
     return compute_mask(model, cfg.prune.method, cfg.prune.s, cfg.prune.seed,
                         batches=scoring_batches(cfg, dataset),
-                        snip_abs=cfg.prune.snip_abs)
+                        snip_abs=cfg.prune.snip_abs, cpus=cpus)
 
 
 def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
@@ -178,7 +207,7 @@ def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_prune(cfg: ExperimentConfig, out_dir: str) -> None:
-    mask = make_mask(cfg, build_model(cfg), load_data(cfg))
+    mask = make_mask(cfg, build_model(cfg), load_data(cfg), available_cpus())
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mask.sadm")
     save_mask(mask, path)
@@ -247,7 +276,7 @@ def _run_sweep_job(job: tuple[ExperimentConfig, int]) -> tuple[float, float, int
     cfg, cpus = job
     model = build_model(cfg)
     dataset = load_data(cfg)
-    apply_mask(model, make_mask(cfg, model, dataset))
+    apply_mask(model, make_mask(cfg, model, dataset, cpus))
     metrics = train(model, dataset, cfg.optimizer, cpus=cpus)
     final = metrics.final_eval_accuracy
     return metrics.kept_fraction, final, metrics.steps_to_accuracy(0.9 * final)
@@ -360,7 +389,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("inspect-mask", help="report the contents of a mask file")
     p.add_argument("--mask", required=True)
 
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if rest:    # reported with the usage of the subcommand they were given to
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         if args.command == "inspect-mask":
             cmd_inspect_mask(args.mask)

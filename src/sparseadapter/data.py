@@ -161,6 +161,13 @@ def read_jsonl(path: str) -> Split:
     return Split(np.asarray(tokens, dtype=np.int64), np.asarray(labels, dtype=np.int64))
 
 
+def record_line(path: str, row: int) -> int:
+    """The line number of record `row` (from 0) of a dataset file, whose
+    blank lines read_jsonl skips."""
+    with open(path, "r", encoding="utf-8") as f:
+        return [n for n, line in enumerate(f, 1) if line.strip()][row]
+
+
 def load_dir(path: str) -> TaskData:
     """Read a dataset directory holding train.jsonl and eval.jsonl."""
     import os

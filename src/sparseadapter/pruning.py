@@ -9,12 +9,19 @@ percentile cut, so a single keep-the-top rule serves every method:
   * snip       - w * g   (g: loss gradient on scoring batches; the raw
                  sensitivity -w*g is negated so low loss-effect is dropped);
                  ``snip_abs`` switches to |w * g|
-  * grasp      - w * h   (h = H g = sum_b H_b g, one batch's graph at a time)
+  * grasp      - w * h   (h = H g = sum_b H_b g; each H_b g is the row-weighted
+                 sum of the hvps of the batch's two fixed halves, rows
+                 [0, ceil(b/2)) and the rest, whatever the CPU count)
   * er         - no elementwise score; per-layer random topology with
                  size-dependent sparsity allocation
 
 Ties at the threshold break by ascending (group name, element index) so every
 mask is deterministic and hits its kept count exactly.
+
+snip and grasp take the CPU count of their job: with 2 or more and at least 2
+pieces of work, the per-batch gradients and the per-half hvps run on two
+threads (`sparseadapter.parallel`), and the results are summed in (batch,
+half) order, so the bits are those of a run on one CPU.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import Model, _Reader
+from .parallel import map_in_order
 
 MASK_MAGIC = b"SADM"
 MASK_VERSION = 1
@@ -105,21 +113,22 @@ def score_magnitude(model: Model) -> ScoreMap:
     return ScoreMap("magnitude", {n: np.abs(w) for n, w in _prunable(model).items()})
 
 
-def _sum_grads(model: Model, batches) -> dict[str, np.ndarray]:
+def _sum_grads(model: Model, batches, cpus: int = 1) -> dict[str, np.ndarray]:
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
     total: dict[str, np.ndarray] = {n: np.zeros(t.shape) for n, t in params.items()}
-    for tokens, labels in batches:
-        grads = ad.backward(model.loss(tokens, labels), params)
+    grads_of = lambda batch: ad.backward(model.loss(*batch), params)
+    for grads in map_in_order(grads_of, batches, cpus):
         for n in total:
             total[n] += grads[n].data
     return total
 
 
-def score_snip(model: Model, batches: Sequence, snip_abs: bool = False) -> ScoreMap:
+def score_snip(model: Model, batches: Sequence, snip_abs: bool = False,
+               cpus: int = 1) -> ScoreMap:
     """Loss-sensitivity scores from gradients summed over the scoring batches."""
     if not batches:
         raise ValueError("snip scoring needs at least one batch")
-    grads = _sum_grads(model, batches)
+    grads = _sum_grads(model, batches, cpus)
     weights = _prunable(model)
     if snip_abs:
         scores = {n: np.abs(weights[n] * grads[n]) for n in weights}
@@ -128,18 +137,40 @@ def score_snip(model: Model, batches: Sequence, snip_abs: bool = False) -> Score
     return ScoreMap("snip", scores)
 
 
-def score_grasp(model: Model, batches: Sequence) -> ScoreMap:
-    """Gradient-flow scores from h = H g = sum_b H_b g, one batch's graph at a
-    time; g, the summed gradient, must be complete before the first H_b g."""
+def _halves(batches: Sequence) -> list[tuple]:
+    """(tokens, labels, weight) of rows [0, ceil(b/2)) and the rest of each
+    batch in order, weighted by their share of its b rows, so the weighted
+    sum of the halves' mean losses is the batch's; a batch under 2 rows
+    stays whole."""
+    pieces = []
+    for tokens, labels in batches:
+        b = len(labels)
+        if b < 2:
+            pieces.append((tokens, labels, 1.0))
+            continue
+        cut = -(-b // 2)
+        pieces += [(tokens[:cut], labels[:cut], cut / b),
+                   (tokens[cut:], labels[cut:], (b - cut) / b)]
+    return pieces
+
+
+def score_grasp(model: Model, batches: Sequence, cpus: int = 1) -> ScoreMap:
+    """Gradient-flow scores from h = H g = sum_b H_b g, one half-batch graph
+    per hvp; g, the summed gradient, must be complete before the first hvp."""
     if not batches:
         raise ValueError("grasp scoring needs at least one batch")
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
-    direction = {n: Tensor(g) for n, g in _sum_grads(model, batches).items()}
+    direction = {n: Tensor(g) for n, g in _sum_grads(model, batches, cpus).items()}
+
+    def weighted_hvp(piece):
+        tokens, labels, weight = piece
+        hv = ad.hvp(lambda p: model.loss(tokens, labels), params, direction)
+        return {n: weight * t.data for n, t in hv.items()}
+
     h = {n: np.zeros(t.shape) for n, t in params.items()}
-    for tokens, labels in batches:
-        hb = ad.hvp(lambda p: model.loss(tokens, labels), params, direction)
+    for hv in map_in_order(weighted_hvp, _halves(batches), cpus):
         for n in h:
-            h[n] += hb[n].data
+            h[n] += hv[n]
     return ScoreMap("grasp", {n: params[n].data * h[n] for n in params})
 
 
@@ -287,8 +318,10 @@ class PruneConfig:
 
 
 def compute_mask(model: Model, method: str, s: float, seed: int,
-                 batches: Sequence = (), snip_abs: bool = False) -> PruneMask:
-    """Method dispatch used by the CLI and sweeps."""
+                 batches: Sequence = (), snip_abs: bool = False,
+                 cpus: int = 1) -> PruneMask:
+    """Method dispatch used by the CLI and sweeps; snip and grasp score on
+    `cpus` CPUs, the number the job has to itself."""
     # overflow warnings are redundant here: ScoreMap rejects non-finite scores
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "random":
@@ -296,10 +329,10 @@ def compute_mask(model: Model, method: str, s: float, seed: int,
         if method == "magnitude":
             return prune_by_percentile(score_magnitude(model), s, seed)
         if method == "snip":
-            return prune_by_percentile(score_snip(model, batches, snip_abs=snip_abs),
-                                       s, seed)
+            return prune_by_percentile(
+                score_snip(model, batches, snip_abs=snip_abs, cpus=cpus), s, seed)
         if method == "grasp":
-            return prune_by_percentile(score_grasp(model, batches), s, seed)
+            return prune_by_percentile(score_grasp(model, batches, cpus=cpus), s, seed)
         if method == "er":
             return score_er(model, s, seed)
     raise ValueError(f"unknown pruning method '{method}'")

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import kept_param_fraction
 from .model import Model
+from .parallel import available_cpus, uses_threads
 from .pruning import PruneMask
 
 ADAM_EPS = 1e-8
@@ -197,14 +197,6 @@ def evaluate(model: Model, tokens: np.ndarray, labels: np.ndarray,
     return loss_sum / n, correct / n
 
 
-def available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 class _Evals:
     """The evaluations of one `train` call. With a `pool`, each runs there on
     a shadow of the model while training goes on; without one, in line."""
@@ -277,7 +269,7 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
         return metrics
 
     eval_every = max(1, steps_per_epoch // max(1, evals_per_epoch))
-    overlap = (available_cpus() if cpus is None else cpus) >= 2
+    overlap = uses_threads(available_cpus() if cpus is None else cpus)
     rng = np.random.default_rng(cfg.seed)
     step = 0
     with ThreadPoolExecutor(max_workers=1) as pool:    # joined on every exit

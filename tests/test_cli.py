@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,16 @@ def test_eval_refuses_flags_it_does_not_read(tmp_path, capsys, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+def test_usage_error_names_the_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--config", write_config(tmp_path),
+              "--checkpoint", str(tmp_path / "c.sacp"), "--seed", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sparseadapter eval ")
+    assert err.endswith("sparseadapter eval: error: unrecognized arguments: --seed 1\n")
+
+
 def test_corrupt_mask_clean_error_no_artifacts(tmp_path, capsys):
     config = write_config(tmp_path)
     out = str(tmp_path / "run")
@@ -367,6 +378,29 @@ def test_deeply_nested_dataset_record_is_an_error_line(tmp_path, capsys):
     assert "train.jsonl:1: bad dataset record" in err
 
 
+@pytest.mark.parametrize("row,line,message", [
+    ({"tokens": [3, 99, 4], "label": 1}, 3, "token 99 outside [0, encoder.vocab_size=60)"),
+    # rows share one length, so the first row is already too long
+    ({"tokens": [3] * 17, "label": 1}, 1,
+     "sequence length 17 exceeds encoder.max_seq_len=16"),
+    ({"tokens": [3, 5, 4], "label": 4}, 3, "label 4 outside [0, encoder.n_classes=4)"),
+])
+def test_dataset_that_does_not_fit_the_encoder_is_refused_up_front(tmp_path, capsys,
+                                                                   row, line, message):
+    # one field each: encoder.vocab_size, encoder.max_seq_len, encoder.n_classes;
+    # the odd record sits on line 3 of train.jsonl, after a blank line
+    ddir = tmp_path / "dataset"
+    ddir.mkdir()
+    good = json.dumps({"tokens": [1] * len(row["tokens"]), "label": 0})
+    (ddir / "train.jsonl").write_text(f"{good}\n\n{json.dumps(row)}\n")
+    (ddir / "eval.jsonl").write_text(f"{good}\n")
+    config = write_config(tmp_path, data={"path": str(ddir)})
+    out = tmp_path / "run"
+    assert main(["train", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {ddir / 'train.jsonl'}:{line}: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -486,6 +520,36 @@ def test_non_finite_scoring_exit_code(tmp_path, capsys, adapter):
                           prune={"method": "snip", "s": 0.4, "seed": 0})
     assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 3
     assert capsys.readouterr().err.startswith("error: non-finite values")
+
+
+def grasp_config(tmp_path, **adapter) -> str:
+    """The small config, pruned by grasp on two scoring batches."""
+    return write_config(tmp_path, adapter={"variant": "houlsby", "r": 4, **adapter},
+                        prune={"method": "grasp", "s": 0.4, "seed": 0, "score_batches": 2})
+
+
+def test_grasp_mask_file_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    config = grasp_config(tmp_path)
+    masks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["prune", "--config", config, "--out", str(out)]) == 0
+        masks.append((out / "mask.sadm").read_bytes())
+    assert masks[0] == masks[1]
+
+
+def test_non_finite_grasp_on_two_cpus_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the overflow happens on a scoring thread, which keeps the caller's numpy
+    # error state, so no warning escapes, and the NumericError reaches main
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+    config = grasp_config(tmp_path, gaussian_std=1e200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite values") and err.count("\n") == 1
 
 
 def test_sweep_job_non_finite_exit_code(tmp_path, capsys):

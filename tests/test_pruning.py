@@ -2,6 +2,7 @@
 percentile threshold with pinned tie-breaking, mask application, mask file
 round trips."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,11 @@ from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.autodiff import Tensor
 from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
     freeze_backbone
-from sparseadapter.pruning import (PruneMask, ScoreMap, apply_mask, compute_mask,
-                                   er_sparsities, load_mask, prune_by_percentile,
-                                   round_half_up, save_mask, score_er, score_grasp,
-                                   score_magnitude, score_random, score_snip)
+from sparseadapter.pruning import (PruneMask, ScoreMap, _halves, _sum_grads,
+                                   apply_mask, compute_mask, er_sparsities, load_mask,
+                                   prune_by_percentile, round_half_up, save_mask,
+                                   score_er, score_grasp, score_magnitude, score_random,
+                                   score_snip)
 from sparseadapter.cli import main
 from oracles import fd_hvp, rel_err
 
@@ -39,6 +41,10 @@ class StubModel:
 
     def loss(self, tokens, labels):
         return self.loss_fn(self, tokens, labels)
+
+
+# a one-row scoring batch, which grasp scores whole; the stub losses ignore it
+ONE_ROW = (np.zeros((1, 1), np.int64), np.zeros(1, np.int64))
 
 
 def adapter_model(r=4, d_model=16, n_layers=2, seed=0, variant="houlsby"):
@@ -183,7 +189,7 @@ def test_grasp_quadratic_analytic():
         return ad.scale(ad.tsum(ad.mul(w, w)), a / 2.0)
 
     m = StubModel(loss_fn, w=w0)
-    scores = score_grasp(m, [(None, None)])
+    scores = score_grasp(m, [ONE_ROW])
     assert np.allclose(scores.scores["w"], a * a * w0 * w0, rtol=1e-12)
 
 
@@ -192,7 +198,7 @@ def test_grasp_linear_loss_gives_zero_scores_and_legal_mask():
         return ad.tsum(model.param("w"))
 
     m = StubModel(loss_fn, w=np.arange(1.0, 11.0))
-    scores = score_grasp(m, [(None, None)])
+    scores = score_grasp(m, [ONE_ROW])
     assert np.all(scores.scores["w"] == 0.0)
     mask = prune_by_percentile(scores, 0.5)
     assert mask.kept() == 5
@@ -220,7 +226,7 @@ def test_grasp_matches_fd_of_gradients_on_mlp():
     for name in params:
         assert rel_err(hv[name].data, fd[name]) < 1e-4
 
-    scores = score_grasp(m, [(None, None)])
+    scores = score_grasp(m, [ONE_ROW])
     for name in params:
         assert np.allclose(scores.scores[name],
                            params[name].data * hv[name].data, rtol=1e-10)
@@ -269,6 +275,66 @@ def test_grasp_memory_does_not_grow_with_score_batches():
             tracemalloc.stop()
 
     assert peak(batches) < 1.5 * peak(batches[:1])
+
+
+def test_grasp_odd_and_one_row_batches_match_summed_loss_hvp():
+    # a 5-row batch splits 3 + 2 with weights 3/5 and 2/5; a 1-row one stays whole
+    m = adapter_model(seed=3)
+    batches = [one_batch(m, seed=4, batch=5), one_batch(m, seed=6, batch=1)]
+    assert [(len(labels), w) for _, labels, w in _halves(batches)] == \
+        [(3, 3 / 5), (2, 2 / 5), (1, 1.0)]
+    expected = summed_loss_grasp(m, batches)
+    scores = score_grasp(m, batches)
+    for name in expected:
+        assert np.allclose(scores.scores[name], expected[name], rtol=1e-12, atol=0), name
+
+
+# ---------------------------------------------------------------------------
+# scoring on two threads
+# ---------------------------------------------------------------------------
+
+def thread_starts(monkeypatch) -> list:
+    """From here on, every thread started, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_pooled_sum_grads_is_byte_equal_to_serial(monkeypatch):
+    m = adapter_model(variant="mam", seed=2)
+    batches = [one_batch(m, seed=k) for k in range(3)]
+    serial = _sum_grads(m, batches, cpus=1)
+    started = thread_starts(monkeypatch)
+    pooled = _sum_grads(m, batches, cpus=2)
+    assert len(started) == 2
+    for name in serial:
+        assert pooled[name].tobytes() == serial[name].tobytes(), name
+
+
+@pytest.mark.parametrize("variant", ["houlsby", "lora"])
+def test_grasp_scores_do_not_depend_on_the_cpu_count(variant):
+    m = adapter_model(variant=variant, seed=8)
+    batches = [one_batch(m, seed=k, batch=7) for k in range(2)]
+    one, two = score_grasp(m, batches, cpus=1), score_grasp(m, batches, cpus=2)
+    for name in one.scores:
+        assert one.scores[name].tobytes() == two.scores[name].tobytes(), name
+
+
+@pytest.mark.parametrize("method,n_batches,cpus", [("snip", 1, 2), ("snip", 3, 1),
+                                                   ("grasp", 3, 1), ("grasp", 1, 0)])
+def test_scoring_starts_no_thread_for_one_piece_or_one_cpu(monkeypatch, method,
+                                                           n_batches, cpus):
+    m = adapter_model(seed=1)
+    batches = [one_batch(m, seed=k) for k in range(n_batches)]
+    started = thread_starts(monkeypatch)
+    compute_mask(m, method, 0.4, seed=0, batches=batches, cpus=cpus)
+    assert started == []
 
 
 # ---------------------------------------------------------------------------
