@@ -1,35 +1,35 @@
 """Dense float64 tensor engine with reverse-mode autodiff and exact Hessian-vector products.
 
-Each vjp is written once against an ops namespace. ``backward(create_graph=True)``
-runs it on the engine, so gradients are differentiable graphs and ``hvp`` is
-exact second-order (no finite differences inside the engine); a first-order
-backward runs it on `_Arrays`, the same op names over plain ndarrays. Each engine
-op computes its value with the `_Arrays` function of the same name, so both
-backends give the same bits. All storage is 64-bit, row-major numpy.
+Each vjp is written once against an ops namespace. A first-order backward runs
+it on `_Arrays`, the engine's op names over plain ndarrays. ``hvp`` runs it on
+`_Duals`, the same names over (value, tangent) pairs: forward-over-reverse, or
+Pearlmutter's R-operator. While ``hvp`` runs the loss, each engine op whose
+parents carry a tangent computes its value and its tangent together through
+`_Duals`, starting from v on the parameters. One backward over the pairs then
+gives the gradient as its value half and H v as its tangent half, so no
+backward builds a graph. Each engine op and each `_Duals` function computes its
+value with the `_Arrays` function of the same name, so both backends give the
+same bits. All storage is 64-bit, row-major numpy.
 
-Every forward op, and every op of a create-graph backward, raises `NumericError`
-naming itself when it produces a NaN/Inf. A first-order backward instead runs
-once with numpy's overflow, invalid and divide flags raising, and a trip raises
-`NumericError` naming the op whose vjp or gradient sum tripped; each gradient is
-then checked once. A check of the gradients alone would miss an overflow that
-comes back finite, as ``xc * xc`` -> inf -> ``inf ** -0.5`` = 0 does in
-layer_norm's vjp.
+Every forward op raises `NumericError` naming itself when it produces a NaN/Inf
+value or tangent. A backward instead runs once with numpy's overflow, invalid
+and divide flags raising, and a trip raises `NumericError` naming the op whose
+vjp or gradient sum tripped; each gradient, or each H v, is then checked once.
+A check of the results alone would miss an overflow that comes back finite, as
+``xc * xc`` -> inf -> ``inf ** -0.5`` = 0 does in layer_norm's vjp.
 
 A vjp recomputes what it needs from its op's inputs and never holds the op's
 output, so a graph has no reference cycle and is freed as soon as it is dropped.
-`_VJP_READS` names the inputs each op's vjp reads through ``ops.val``. A
-create-graph backward drops the value of each node that a vjp made and did not
-return unless a consumer's vjp reads it: all of its consumers were made in the
-same call, so nothing later can read it. Reading a dropped value raises
-AttributeError; it never turns into zeros.
 
 Ownership rule: `_Arrays` has in-place twins (``mul_``, ``add_``, ...) that write
-into their first operand, and the engine maps each to its plain op, so an hvp
-graph has the same nodes either way. A twin's first operand must be a temporary
-that its caller made: never ``ops.val`` of an input (`_Arrays.val` is read-only,
-so such a write raises), nor the incoming ``g``, which the ``add`` vjp hands to
-both parents, nor a view of either. A caller may swap the operands of ``add`` or
+into their first operand. A twin's first operand must be a temporary that its
+caller made: never ``ops.val`` of an input (`_Arrays.val` is read-only, so such a
+write raises), nor the incoming ``g``, which the ``add`` vjp hands to both
+parents, nor a view of either. A caller may swap the operands of ``add`` or
 ``mul`` to put its temporary first, as IEEE addition and multiplication commute.
+On `_Duals` each twin is its plain op: ``add`` and ``add_scalar`` pass a tangent
+through, so a temporary's tangent can be another node's, and nothing writes
+into a tangent.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +79,16 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled.enabled = prev
+
+
+class _Tangents(threading.local):
+    """The forward tangents of the calling thread's running hvp, by node id;
+    None outside one. Each thread has its own, so two hvps can run at once."""
+
+    table: dict[int, np.ndarray] | None = None
+
+
+_tangents = _Tangents()
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -123,13 +133,21 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        shape = self.shape if hasattr(self, "data") else "released"
-        return f"Tensor(op={self._op!r}, shape={shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(op={self._op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
-             vjp: Callable) -> Tensor:
-    """Wrap an op result; attach graph metadata only when gradients are live."""
+def _from_op(op: str, parents: tuple[Tensor, ...], vjp: Callable, *consts) -> Tensor:
+    """The node of op `op` over `parents`, then `consts`. Its value comes from
+    the `_Arrays` function of that name. While an hvp's forward runs on this
+    thread and a parent carries a tangent, the `_Duals` function of that name
+    gives the value and the node's tangent. Graph metadata is attached only
+    when gradients are live."""
+    tangents = _tangents.table
+    if tangents is None or not any(p._id in tangents for p in parents):
+        data, tangent = getattr(_Arrays, op)(*[p.data for p in parents], *consts), None
+    else:
+        data, tangent = getattr(_Duals, op)(
+            *[_Dual(p.data, tangents.get(p._id)) for p in parents], *consts)
     data = np.asarray(data, dtype=np.float64)
     if not _all_finite(data):
         raise NumericError(f"non-finite values produced by op '{op}'")
@@ -145,6 +163,11 @@ def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
         t.requires_grad = False
         t._parents = ()
         t._vjp = None
+    if tangent is not None:
+        tangent = np.asarray(tangent, dtype=np.float64)
+        if not _all_finite(tangent):
+            raise NumericError(f"non-finite tangent produced by op '{op}'")
+        tangents[t._id] = tangent
     return t
 
 
@@ -165,6 +188,12 @@ def _pow_data(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, p)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def _in_place(ufunc):
     """The twin of `ufunc` that writes its result into its first operand."""
     def twin(a, *rest):
@@ -182,14 +211,12 @@ class _Arrays:
     A namespace, never instantiated. Each engine op computes its value with
     the function of the same name here, so each numpy expression exists once
     and a vjp makes the same numpy calls on either backend. Nothing here
-    checks its result or changes numpy's error state: `backward` guards the
+    checks its result or changes numpy's error state: a backward guards the
     whole pass.
     """
 
     def val(t: Tensor) -> np.ndarray:
-        view = t.data.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(t.data)
 
     add = np.add
     add_scalar = np.add
@@ -202,7 +229,6 @@ class _Arrays:
     reshape = np.reshape
     broadcast_to = np.broadcast_to
     tanh = np.tanh
-    concat = np.concatenate
     powc = _pow_data
     take_rows = np.ndarray.__getitem__      # take_rows(w, idx) is w[idx]
     add_ = add_scalar_ = _in_place(np.add)
@@ -210,6 +236,9 @@ class _Arrays:
     sub_ = _in_place(np.subtract)
     mul_ = scale_ = _in_place(np.multiply)
     tanh_ = _in_place(np.tanh)
+
+    def concat(*parts_then_axis):
+        return np.concatenate(parts_then_axis[:-1], axis=parts_then_axis[-1])
 
     def swap_last2(a):
         return np.swapaxes(a, -1, -2)
@@ -253,12 +282,152 @@ class _Arrays:
         return xc
 
     def gelu(x):
-        t = _gelu_tanh(_Arrays, x)
-        return np.multiply(0.5 * x, np.add(1.0, t, out=t), out=t)
+        return _gelu(_Arrays, x)
 
     def attention(q, k, v, bsz, n_heads):
-        _, _, v4, p = _attention_weights(_Arrays, q, k, v, bsz, n_heads)
-        return np.reshape(np.transpose(np.matmul(p, v4), (0, 2, 1, 3)), q.shape)
+        return _attention(_Arrays, q, k, v, bsz, n_heads)
+
+
+class _Dual(NamedTuple):
+    """A value and its tangent; a tangent of None is zero."""
+
+    value: np.ndarray
+    tangent: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
+
+
+def _t_sum(*terms):
+    """The sum of the tangent terms that are not None, or None."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _linear(f):
+    """The dual of `f`, linear in its one array operand."""
+    def dual(x, *args, **kwargs):
+        return _Dual(f(x.value, *args, **kwargs),
+                     None if x.tangent is None else f(x.tangent, *args, **kwargs))
+    return dual
+
+
+def _bilinear(f):
+    """The dual of `f`, linear in each of its two operands."""
+    def dual(x, y):
+        return _Dual(f(x.value, y.value), _t_sum(
+            None if x.tangent is None else f(x.tangent, y.value),
+            None if y.tangent is None else f(x.value, y.tangent)))
+    return dual
+
+
+class _Duals:
+    """Second-order backend: the names of `_Arrays` over `_Dual` pairs.
+
+    Each function takes its value from the `_Arrays` function of the same
+    name, or from the same chain of them, so a value keeps its bits; it takes
+    its tangent from the product and chain rules. The forward of an hvp runs
+    each engine op here once a parent carries a tangent, and the hvp's one
+    backward runs every vjp here.
+    """
+
+    def val(t: Tensor) -> _Dual:
+        tangent = _tangents.table.get(t._id)
+        return _Dual(_read_only(t.data), None if tangent is None else _read_only(tangent))
+
+    def add(x, y):
+        return _Dual(_Arrays.add(x.value, y.value), _t_sum(x.tangent, y.tangent))
+
+    def sub(x, y):
+        xt, yt = x.tangent, y.tangent
+        return _Dual(_Arrays.sub(x.value, y.value),
+                     xt if yt is None else np.negative(yt) if xt is None else xt - yt)
+
+    def add_scalar(x, c):
+        return _Dual(_Arrays.add_scalar(x.value, c), x.tangent)
+
+    neg = _linear(_Arrays.neg)
+    scale = _linear(_Arrays.scale)
+    permute = _linear(_Arrays.permute)
+    reshape = _linear(_Arrays.reshape)
+    broadcast_to = _linear(_Arrays.broadcast_to)
+    swap_last2 = _linear(_Arrays.swap_last2)
+    tsum = _linear(_Arrays.tsum)
+    slice_axis = _linear(_Arrays.slice_axis)
+    pad_axis = _linear(_Arrays.pad_axis)
+    take_rows = _linear(_Arrays.take_rows)
+    mul = _bilinear(_Arrays.mul)
+    matmul = _bilinear(_Arrays.matmul)
+
+    def concat(*parts_then_axis):
+        *parts, axis = parts_then_axis
+        value = _Arrays.concat(*[p.value for p in parts], axis)
+        if all(p.tangent is None for p in parts):
+            return _Dual(value, None)
+        return _Dual(value, _Arrays.concat(
+            *[np.zeros(p.shape) if p.tangent is None else p.tangent for p in parts], axis))
+
+    def tanh(x):
+        t = _Arrays.tanh(x.value)
+        return _Dual(t, None if x.tangent is None else x.tangent * (1.0 - t * t))
+
+    def powc(x, p):
+        return _Dual(_Arrays.powc(x.value, p), None if x.tangent is None
+                     else x.tangent * (p * _Arrays.powc(x.value, p - 1.0)))
+
+    def affine(x, w, b):
+        out = _Arrays.affine(x.value, w.value, b.value)
+        t = _t_sum(None if x.tangent is None else x.tangent @ w.value,
+                   None if w.tangent is None else x.value @ w.tangent, b.tangent)
+        return _Dual(out, None if t is None else np.broadcast_to(t, out.shape))
+
+    def softmax_last(x):
+        p = _Arrays.softmax_last(x.value)
+        if x.tangent is None:
+            return _Dual(p, None)
+        pt = p * x.tangent
+        return _Dual(p, pt - p * np.add.reduce(pt, axis=-1, keepdims=True))
+
+    def cross_entropy_logits(z, labels):
+        out = _Arrays.cross_entropy_logits(z.value, labels)
+        if z.tangent is None:
+            return _Dual(out, None)
+        zt = z.tangent
+        p = _Arrays.softmax_last(z.value)
+        return _Dual(out, np.mean(np.add.reduce(p * zt, axis=-1)
+                                  - zt[np.arange(len(labels)), labels]))
+
+    def layer_norm(x, gamma, beta, eps):
+        # y = (x - mean) * inv is recomputed; the tangent of y is
+        # inv (dxc - y mean(y dxc)), where dxc is the tangent of x - mean
+        out = _Arrays.layer_norm(x.value, gamma.value, beta.value, eps)
+        xt, gt = x.tangent, gamma.tangent
+        dy = y = None
+        if xt is not None or gt is not None:
+            d = out.shape[-1]
+            xc = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / d
+            inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+            y = xc * inv
+        if xt is not None:
+            dxc = xt - np.add.reduce(xt, axis=-1, keepdims=True) / d
+            dy = inv * (dxc - y * (np.add.reduce(y * dxc, axis=-1, keepdims=True) / d))
+        t = _t_sum(None if dy is None else dy * gamma.value,
+                   None if gt is None else y * gt, beta.tangent)
+        return _Dual(out, None if t is None else np.broadcast_to(t, out.shape))
+
+    def gelu(x):
+        return _gelu(_Duals, x)
+
+    def attention(q, k, v, bsz, n_heads):
+        return _attention(_Duals, q, k, v, bsz, n_heads)
+
+    # no twin writes in place here: a tangent may be another node's
+    add_, add_scalar_, neg_, sub_, mul_, scale_, tanh_ = (
+        add, add_scalar, neg, sub, mul, scale, tanh)
 
 
 def _gelu_tanh(ops, x):
@@ -267,6 +436,11 @@ def _gelu_tanh(ops, x):
     through the tanh made the forward about 30% slower at encoder shapes."""
     return ops.tanh_(ops.scale_(ops.add_(ops.scale_(ops.mul_(ops.mul(x, x), x), GELU_C1), x),
                                 GELU_C0))
+
+
+def _gelu(ops, x):
+    """0.5 x (1 + tanh(...)) on backend `ops`."""
+    return ops.mul_(ops.add_scalar_(_gelu_tanh(ops, x), 1.0), ops.scale(x, 0.5))
 
 
 def _split_heads(ops, x, bsz: int, n_heads: int):
@@ -280,19 +454,10 @@ def _attention_weights(ops, q, k, v, bsz: int, n_heads: int):
     return q4, k4, v4, ops.softmax_last(scores)
 
 
-class _Engine:
-    """Create-graph backend: the engine ops, looked up on this module at each
-    call, so that a wrapper installed on the module sees every op a vjp makes."""
-
-    @staticmethod
-    def val(t: Tensor) -> Tensor:
-        return t
-
-    def __getattr__(self, name: str):
-        return globals()[name.removesuffix("_")]     # an in-place twin is its plain op
-
-
-_ENGINE = _Engine()
+def _attention(ops, q, k, v, bsz: int, n_heads: int):
+    """Softmax attention of q over k and v on backend `ops`, as (rows, d)."""
+    _, _, v4, p = _attention_weights(ops, q, k, v, bsz, n_heads)
+    return ops.reshape(ops.permute(ops.matmul(p, v4), (0, 2, 1, 3)), q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +473,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return g if needs[0] else None, g if needs[1] else None
 
-    return _from_op("add", _Arrays.add(a.data, b.data), (a, b), vjp)
+    return _from_op("add", (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.neg(g),)
 
-    return _from_op("neg", _Arrays.neg(a.data), (a,), vjp)
+    return _from_op("neg", (a,), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -325,7 +490,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return g if needs[0] else None, ops.neg(g) if needs[1] else None
 
-    return _from_op("sub", _Arrays.sub(a.data, b.data), (a, b), vjp)
+    return _from_op("sub", (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -336,7 +501,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (ops.mul(g, ops.val(b)) if needs[0] else None,
                 ops.mul(g, ops.val(a)) if needs[1] else None)
 
-    return _from_op("mul", _Arrays.mul(a.data, b.data), (a, b), vjp)
+    return _from_op("mul", (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -345,7 +510,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.scale(g, c),)
 
-    return _from_op("scale", _Arrays.scale(a.data, c), (a,), vjp)
+    return _from_op("scale", (a,), vjp, c)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -354,7 +519,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     def vjp(g, needs, ops):
         return (g,)
 
-    return _from_op("add_scalar", _Arrays.add_scalar(a.data, c), (a,), vjp)
+    return _from_op("add_scalar", (a,), vjp, c)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -370,14 +535,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ops.matmul(g, ops.swap_last2(ops.val(b))) if needs[0] else None,
                 ops.matmul(ops.swap_last2(ops.val(a)), g) if needs[1] else None)
 
-    return _from_op("matmul", _Arrays.matmul(a.data, b.data), (a, b), vjp)
+    return _from_op("matmul", (a, b), vjp)
 
 
 def swap_last2(a: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.swap_last2(g),)
 
-    return _from_op("swap_last2", _Arrays.swap_last2(a.data), (a,), vjp)
+    return _from_op("swap_last2", (a,), vjp)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -387,7 +552,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.permute(g, inv),)
 
-    return _from_op("permute", _Arrays.permute(a.data, axes), (a,), vjp)
+    return _from_op("permute", (a,), vjp, axes)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -397,7 +562,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.reshape(g, orig),)
 
-    return _from_op("reshape", _Arrays.reshape(a.data, shape), (a,), vjp)
+    return _from_op("reshape", (a,), vjp, shape)
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -411,7 +576,7 @@ def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False)
         gg = g if keepdims or nd == 0 else ops.reshape(g, kd_shape)
         return (ops.broadcast_to(gg, orig),)
 
-    return _from_op("tsum", _Arrays.tsum(a.data, norm, keepdims), (a,), vjp)
+    return _from_op("tsum", (a,), vjp, norm, keepdims)
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -428,7 +593,7 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         r = ops.tsum(g, axes=reduce_axes, keepdims=True) if reduce_axes else g
         return (ops.reshape(r, orig),)
 
-    return _from_op("broadcast_to", _Arrays.broadcast_to(a.data, shape), (a,), vjp)
+    return _from_op("broadcast_to", (a,), vjp, shape)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -437,7 +602,7 @@ def tanh(a: Tensor) -> Tensor:
         t = ops.tanh(ops.val(a))
         return (ops.mul(g, ops.add_scalar(ops.neg(ops.mul(t, t)), 1.0)),)
 
-    return _from_op("tanh", _Arrays.tanh(a.data), (a,), vjp)
+    return _from_op("tanh", (a,), vjp)
 
 
 def powc(a: Tensor, p: float) -> Tensor:
@@ -447,8 +612,7 @@ def powc(a: Tensor, p: float) -> Tensor:
         return (ops.mul(g, ops.scale(ops.powc(ops.val(a), p - 1.0), p)),)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out_data = _Arrays.powc(a.data, p)
-    return _from_op("powc", out_data, (a,), vjp)
+        return _from_op("powc", (a,), vjp, p)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -458,7 +622,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.pad_axis(g, axis, start, total),)
 
-    return _from_op("slice_axis", _Arrays.slice_axis(a.data, axis, start, stop), (a,), vjp)
+    return _from_op("slice_axis", (a,), vjp, axis, start, stop)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
@@ -471,7 +635,7 @@ def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
     def vjp(g, needs, ops):
         return (ops.slice_axis(g, axis, before, before + length),)
 
-    return _from_op("pad_axis", _Arrays.pad_axis(a.data, axis, before, total), (a,), vjp)
+    return _from_op("pad_axis", (a,), vjp, axis, before, total)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -483,8 +647,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(ops.slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
                      if needs[i] else None for i in range(len(parts)))
 
-    return _from_op("concat", _Arrays.concat([p.data for p in parts], axis),
-                    tuple(parts), vjp)
+    return _from_op("concat", tuple(parts), vjp, axis)
 
 
 def take_rows(w: Tensor, idx: np.ndarray) -> Tensor:
@@ -498,7 +661,7 @@ def take_rows(w: Tensor, idx: np.ndarray) -> Tensor:
         onehot = Tensor((idx[:, None] == np.arange(n_rows)).astype(np.float64))
         return (ops.matmul(ops.swap_last2(ops.val(onehot)), g),)
 
-    return _from_op("take_rows", _Arrays.take_rows(w.data, idx), (w,), vjp)
+    return _from_op("take_rows", (w,), vjp, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +680,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 ops.matmul(ops.swap_last2(ops.val(x)), g) if needs[1] else None,
                 ops.tsum(g, axes=(0,)) if needs[2] else None)
 
-    return _from_op("affine", _Arrays.affine(x.data, w.data, b.data), (x, w, b), vjp)
+    return _from_op("affine", (x, w, b), vjp)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -529,7 +692,7 @@ def softmax_last(x: Tensor) -> Tensor:
     def vjp(g, needs, ops):
         return (_softmax_vjp(ops, g, ops.softmax_last(ops.val(x))),)
 
-    return _from_op("softmax_last", _Arrays.softmax_last(x.data), (x,), vjp)
+    return _from_op("softmax_last", (x,), vjp)
 
 
 def _softmax_vjp(ops, g, p):
@@ -561,8 +724,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bsz: int, n_heads: int) -> Tensor
         return tuple(None if g is None else ops.reshape(ops.permute(g, (0, 2, 1, 3)), x.shape)
                      for g, x in zip(g4s, (q, k, v)))
 
-    return _from_op("attention", _Arrays.attention(q.data, k.data, v.data, bsz, n_heads),
-                    (q, k, v), vjp)
+    return _from_op("attention", (q, k, v), vjp, bsz, n_heads)
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -588,8 +750,7 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         delta = ops.scale(ops.sub(probs, ops.val(onehot)), 1.0 / n)
         return (ops.mul(ops.broadcast_to(ops.reshape(g, (1, 1)), (n, c)), delta),)
 
-    return _from_op("cross_entropy_logits",
-                    _Arrays.cross_entropy_logits(logits.data, labels), (logits,), vjp)
+    return _from_op("cross_entropy_logits", (logits,), vjp, labels)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -626,8 +787,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gbeta = ops.tsum(g, axes=lead) if lead else g
         return gx, ggamma, gbeta
 
-    return _from_op("layer_norm", _Arrays.layer_norm(x.data, gamma.data, beta.data, eps),
-                    (x, gamma, beta), vjp)
+    return _from_op("layer_norm", (x, gamma, beta), vjp, eps)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -643,7 +803,7 @@ def gelu(x: Tensor) -> Tensor:
                          ops.mul_(ops.scale(xv, 0.5), ops.mul_(one_minus_t2, du)))
         return (ops.mul_(deriv, g),)
 
-    return _from_op("gelu", _Arrays.gelu(x.data), (x,), vjp)
+    return _from_op("gelu", (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -676,89 +836,80 @@ class Tape:
         return cls(nodes)
 
 
-# The parents whose values each op's vjp reads through `ops.val`, by op name.
-# Every other vjp uses only its incoming gradient and what the forward fixed.
-_VJP_READS = {"mul": (0, 1), "matmul": (0, 1), "tanh": (0,), "powc": (0,),
-              "affine": (0, 1), "softmax_last": (0,), "attention": (0, 1, 2),
-              "cross_entropy_logits": (0,), "layer_norm": (0, 1), "gelu": (0,)}
-
-
-def _release_unread(outs, first_id: int) -> None:
-    """Drop the value of each node an engine vjp made (ids above `first_id`) and
-    did not return in `outs`, unless the vjp of one of its consumers reads it.
-    Such a node's consumers were all made in the same call."""
-    kept = {t._id for t in outs if t is not None}
-    made = [t for t in outs if t is not None and t._id > first_id]
-    seen = {t._id for t in made}
-    for node in made:       # grows as the walk reaches the call's earlier nodes
-        reads = _VJP_READS.get(node._op, ())
-        for i, p in enumerate(node._parents):
-            if p._id > first_id:
-                if i in reads:
-                    kept.add(p._id)
-                if p._id not in seen:
-                    seen.add(p._id)
-                    made.append(p)
-    for t in made:
-        if t._id not in kept:
-            del t.data
-
-
 def _run_vjps(loss: Tensor, params: Mapping[str, Tensor], ops, seed) -> dict:
-    """Every vjp behind `loss`, run on backend `ops`; gradients by parameter name."""
+    """Every vjp behind `loss`, run once on backend `ops` with numpy's flags
+    raising; gradients by parameter name."""
     param_names = {t._id: name for name, t in params.items()}
     grads = {loss._id: seed}
     result = {}
-    for node in reversed(Tape.from_output(loss).nodes):
-        g = grads.pop(node._id, None)
-        if g is None:
-            continue
-        name = param_names.get(node._id)
-        if name is not None:
-            result[name] = g
-        if node._vjp is None:
-            continue
-        needs = tuple(p.requires_grad for p in node._parents)
-        first_id = next(_next_id) if ops is _ENGINE else None     # below the vjp's nodes
-        try:
-            pgs = node._vjp(g, needs, ops)
-            for parent, pg in zip(node._parents, pgs):
-                if pg is None:
-                    continue
-                acc = grads.get(parent._id)
-                grads[parent._id] = pg if acc is None else ops.add(acc, pg)
-        except FloatingPointError as exc:    # raised by backward's errstate
-            raise NumericError(f"non-finite values in the vjp of op '{node._op}'") from exc
-        if first_id is not None:
-            _release_unread(pgs, first_id)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for node in reversed(Tape.from_output(loss).nodes):
+            if ops is _Duals:   # each vjp that reads this node's tangent has run
+                _tangents.table.pop(node._id, None)
+            g = grads.pop(node._id, None)
+            if g is None:
+                continue
+            name = param_names.get(node._id)
+            if name is not None:
+                result[name] = g
+            if node._vjp is None:
+                continue
+            needs = tuple(p.requires_grad for p in node._parents)
+            try:
+                for parent, pg in zip(node._parents, node._vjp(g, needs, ops)):
+                    if pg is None:
+                        continue
+                    acc = grads.get(parent._id)
+                    grads[parent._id] = pg if acc is None else ops.add(acc, pg)
+            except FloatingPointError as exc:
+                raise NumericError(f"non-finite values in the vjp of op '{node._op}'") from exc
     return result
+
+
+def _check_loss(loss: Tensor, params: Mapping[str, Tensor], who: str) -> None:
+    if loss.data.shape != ():
+        raise ShapeError(f"{who}: loss must be scalar, got shape {loss.shape}")
+    if not any(t.requires_grad for t in params.values()):
+        raise ValueError(f"{who}: no parameter has requires_grad set")
+
+
+def _by_param(arrays: Mapping[str, np.ndarray | None],
+              params: Mapping[str, Tensor]) -> dict[str, Tensor]:
+    """A tensor per parameter, zeros where `arrays` has none; Tensor() checks
+    each array once."""
+    return {name: Tensor(np.zeros(t.shape) if arrays.get(name) is None else arrays[name])
+            for name, t in params.items()}
 
 
 def backward(loss: Tensor, params: Mapping[str, Tensor],
              create_graph: bool = False) -> dict[str, Tensor]:
-    """Gradients of a scalar loss for every tensor in `params`.
+    """Gradients of a scalar loss for every tensor in `params`, as constants.
 
-    Parameters the loss does not reach get explicit zero tensors. With
-    ``create_graph=True`` the returned gradients are differentiable graph
-    nodes (needed for hvp); otherwise they are constants.
+    Parameters the loss does not reach get explicit zero tensors. There is
+    no differentiable backward: `hvp` gives second order. `create_graph`
+    is kept for callers that pass it, and must be False.
     """
-    if loss.data.shape != ():
-        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not any(t.requires_grad for t in params.values()):
-        raise ValueError("backward: no parameter has requires_grad set")
-
     if create_graph:
-        result = _run_vjps(loss, params, _ENGINE, Tensor(1.0))
-    else:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            grads = _run_vjps(loss, params, _Arrays, np.ones(()))
-        # Tensor() checks each gradient once
-        result = {name: Tensor(g) for name, g in grads.items()}
+        raise ValueError("backward: create_graph=True is not supported; use hvp for "
+                         "Hessian-vector products")
+    _check_loss(loss, params, "backward")
+    return _by_param(_run_vjps(loss, params, _Arrays, np.ones(())), params)
 
-    for name, t in params.items():
-        if name not in result:
-            result[name] = Tensor(np.zeros(t.shape))
-    return result
+
+def _dual_grads(loss_fn: Callable[[Mapping[str, Tensor]], Tensor],
+                params: Mapping[str, Tensor],
+                v: Mapping[str, Tensor]) -> dict[str, _Dual]:
+    """(gradient, H v) of each parameter the loss reaches: ``loss_fn`` runs
+    with a tangent on every node, from v on the parameters that take
+    gradients, and then one backward runs over (value, tangent) pairs."""
+    prev = _tangents.table
+    _tangents.table = {t._id: v[name].data for name, t in params.items() if t.requires_grad}
+    try:
+        loss = loss_fn(params)
+        _check_loss(loss, params, "hvp")
+        return _run_vjps(loss, params, _Duals, _Dual(np.ones(()), None))
+    finally:
+        _tangents.table = prev
 
 
 def hvp(loss_fn: Callable[[Mapping[str, Tensor]], Tensor],
@@ -766,7 +917,8 @@ def hvp(loss_fn: Callable[[Mapping[str, Tensor]], Tensor],
         v: Mapping[str, Tensor]) -> dict[str, Tensor]:
     """Hessian-vector product H @ v of ``loss_fn`` at ``params``.
 
-    Exact double backward: differentiate sum(grad . v) a second time. The
+    Exact forward-over-reverse (Pearlmutter's R-operator): the tangent of
+    the gradient along v, carried through one forward and one backward. The
     loss function must consume the given parameter tensors (directly or by
     closing over the same objects).
     """
@@ -775,11 +927,5 @@ def hvp(loss_fn: Callable[[Mapping[str, Tensor]], Tensor],
     for k in params:
         if v[k].shape != params[k].shape:
             raise ShapeError(f"hvp: direction shape mismatch for '{k}'")
-
-    loss = loss_fn(params)
-    grads = backward(loss, params, create_graph=True)
-    gv: Tensor | None = None
-    for k in sorted(params.keys()):
-        term = tsum(mul(grads[k], Tensor(v[k].data)))    # no gradient flows into v
-        gv = term if gv is None else add(gv, term)
-    return backward(gv, params)
+    duals = _dual_grads(loss_fn, params, v)
+    return _by_param({name: d.tangent for name, d in duals.items()}, params)

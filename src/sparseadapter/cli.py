@@ -27,7 +27,7 @@ from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters
 from .autodiff import NumericError
 from .data import Split, SyntheticTaskSpec, TaskData, generate, load_dir, \
     record_line
-from .model import EncoderConfig, Model, build_encoder, freeze_backbone, \
+from .model import EncoderConfig, Model, _atomic_open, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
 from .parallel import available_cpus
 from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
@@ -221,13 +221,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> Non
         apply_mask(model, load_mask(mask_path))
     dataset = load_data(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
+    with _atomic_open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         f.write(serialize_config(cfg))
     metrics = train(model, dataset, cfg.optimizer)
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.sacp"))
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
+    with _atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.to_csv())
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
+    with _atomic_open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
         f.write(metrics.summary_json())
     print(f"final eval accuracy: {metrics.final_eval_accuracy}")
     print(f"artifacts in {out_dir}")
@@ -303,7 +303,7 @@ def _sweep_rows(points: list[ExperimentConfig], results: list[tuple],
 
 
 def _write_sweep_csv(path: str, rows: list[tuple], aborted: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows([SWEEP_COLUMNS, *rows])
         if aborted:
             f.write(f"# aborted: {aborted}\n")
@@ -330,6 +330,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,
     workers = min(workers, len(jobs))   # the pool forks all its workers at once
     cpus = available_cpus() // workers  # each job's share while the pool runs
     jobs = [(job, cpus) for job in jobs]
+    if cfg.data.path is not None:   # no sweep axis changes the encoder or the data
+        load_data(cfg)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
 

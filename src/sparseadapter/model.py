@@ -13,8 +13,11 @@ key/value rows in front of each sequence's own.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -214,8 +217,25 @@ def freeze_backbone(model: Model) -> None:
 # trainable flag, and raw little-endian float64 data.
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _atomic_open(path: str, mode: str, **kwargs) -> Iterator[IO]:
+    """`open` of `<path>.tmp` in the same directory, moved onto `path` by
+    os.replace when the block ends; on any error the temporary goes, and
+    `path` keeps what it held. A run killed mid-write leaves no partial file
+    under `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(model: Model, path: str) -> None:
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<B", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(model.groups)))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import Model, _Reader
+from .model import Model, _Reader, _atomic_open
 from .parallel import map_in_order
 
 MASK_MAGIC = b"SADM"
@@ -155,8 +155,9 @@ def _halves(batches: Sequence) -> list[tuple]:
 
 
 def score_grasp(model: Model, batches: Sequence, cpus: int = 1) -> ScoreMap:
-    """Gradient-flow scores from h = H g = sum_b H_b g, one half-batch graph
-    per hvp; g, the summed gradient, must be complete before the first hvp."""
+    """Gradient-flow scores from h = H g = sum_b H_b g, one forward and one
+    backward per half-batch hvp; g, the summed gradient, must be complete
+    before the first hvp."""
     if not batches:
         raise ValueError("grasp scoring needs at least one batch")
     params = {n: g.tensor for n, g in model.prunable_groups().items()}
@@ -354,7 +355,7 @@ def save_mask(mask: PruneMask, path: str) -> None:
         m = mask.masks[name]
         parts += [struct.pack("<H", len(raw)), raw, struct.pack("<Q", m.size),
                   np.packbits(m.reshape(-1), bitorder="little").tobytes()]
-    with open(path, "wb") as f:     # packed first: a bad field leaves no partial file
+    with _atomic_open(path, "wb") as f:
         f.write(b"".join(parts))
 
 

@@ -1,5 +1,6 @@
 """Engine tests: every primitive against finite differences, backward/hvp
-contracts, the two vjp backends, tape topology, determinism."""
+contracts, the two vjp backends and forward tangents, tape topology,
+determinism."""
 
 import contextlib
 import gc
@@ -15,7 +16,6 @@ import pytest
 import sparseadapter.autodiff as ad
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
-from sparseadapter.pruning import score_grasp
 from oracles import composed_forward, fd_gradient, fd_hvp, random_small_net, rel_err
 
 
@@ -161,31 +161,14 @@ def test_primitive_gradients(case):
 
 
 def test_vjps_read_exactly_the_declared_parents():
-    # a create-graph backward keeps a value that a vjp made only if _VJP_READS
-    # says that a consumer's vjp reads it
-    read = []
-
-    class Recording(ad._Arrays):
-        def val(t):
-            read.append(t)
-            return ad._Arrays.val(t)
-
-    ops_seen = set()
     for case in PRIMITIVE_CASES:
         fn, p, _ = _primitive_case(case)
         for node in ad.Tape.from_output(fn(p)).nodes:
             if node._vjp is None:
                 continue
-            read.clear()
-            node._vjp(np.ones(node.shape), (True,) * len(node._parents), Recording)
-            got = {i for i, parent in enumerate(node._parents) if any(t is parent for t in read)}
-            declared = set(ad._VJP_READS.get(node._op, ())) & set(range(len(node._parents)))
-            assert got == declared, (case, node._op)
             # each node is named after the autodiff function that made it
             assert inspect.isfunction(getattr(ad, node._op, None)) and \
                 node._vjp.__qualname__ == f"{node._op}.<locals>.vjp", (case, node._op)
-            ops_seen.add(node._op)
-    assert ops_seen >= ad._VJP_READS.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +194,13 @@ def test_backward_rejects_non_scalar_loss():
     w = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ad.ShapeError):
         ad.backward(ad.mul(w, w), {"w": w})
+
+
+def test_backward_has_no_create_graph():
+    # second order is hvp's; backward keeps the argument only for its callers
+    w = ad.Tensor(3.0, requires_grad=True)
+    with pytest.raises(ValueError, match="use hvp"):
+        ad.backward(ad.mul(w, w), {"w": w}, create_graph=True)
 
 
 def test_backward_requires_a_trainable_param():
@@ -337,6 +327,16 @@ def test_hvp_linear_in_v():
         assert rel_err(hav[k].data, 3.7 * hv[k].data) < 1e-10
 
 
+def test_non_finite_tangent_names_the_op():
+    # the value 1e290 is finite, its tangent 1e310 is not
+    w = ad.Tensor(np.array([1e-10, 1.0]), requires_grad=True)
+    fn = lambda p: ad.tsum(ad.scale(p["w"], 1e300))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ad.NumericError, match="non-finite tangent produced by op 'scale'"):
+            ad.hvp(fn, {"w": w}, {"w": ad.Tensor(np.array([1e10, 0.0]))})
+    assert ad._tangents.table is None
+
+
 def test_hvp_zero_hessian():
     # loss linear in w: Hessian is exactly zero
     w = ad.Tensor(np.ones(4), requires_grad=True)
@@ -367,15 +367,20 @@ def _batch(seed):
 
 @pytest.mark.parametrize("frozen", [True, False])
 @pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
-def test_array_backend_matches_engine_bitwise(variant, frozen):
+def test_dual_backward_values_match_first_order_bitwise(variant, frozen):
+    # an hvp's backward runs every vjp over (value, tangent) pairs, and its
+    # value half is the first-order gradient
+    assert {n for n in vars(ad._Arrays) if not n.startswith("__")} <= vars(ad._Duals).keys()
     m = _encoder(variant, frozen)
     params = {n: g.tensor for n, g in m.trainable_groups().items()}
-    loss = m.loss(*_batch(31))
-    plain = ad.backward(loss, params)
-    graph = ad.backward(loss, params, create_graph=True)
-    assert plain.keys() == graph.keys()
+    batch = _batch(31)
+    rng = np.random.default_rng(31)
+    v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
+    plain = ad.backward(m.loss(*batch), params)
+    duals = ad._dual_grads(lambda p: m.loss(*batch), params, v)
+    assert duals.keys() == plain.keys()
     for name in params:
-        assert plain[name].data.tobytes() == graph[name].data.tobytes(), name
+        assert plain[name].data.tobytes() == duals[name].value.tobytes(), name
 
 
 @pytest.mark.parametrize("frozen", [True, False])
@@ -391,6 +396,28 @@ def test_first_order_backward_leaves_node_values_alone(variant, frozen):
     assert [t.data.tobytes() for t in nodes] == before
     with pytest.raises(ValueError, match="read-only"):
         ad._Arrays.mul_(ad._Arrays.val(loss), 2.0)
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_hvp_leaves_forward_values_alone(variant, frozen):
+    # the forward of an hvp gives each node the bits of a plain forward, and
+    # its backward over pairs writes into none of them
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    batch = _batch(61)
+    rng = np.random.default_rng(61)
+    v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
+    plain = [t.data.tobytes() for t in ad.Tape.from_output(m.loss(*batch)).nodes]
+    nodes = []
+
+    def loss_fn(p):
+        loss = m.loss(*batch)
+        nodes.extend(ad.Tape.from_output(loss).nodes)
+        return loss
+
+    ad.hvp(loss_fn, params, v)
+    assert [t.data.tobytes() for t in nodes] == plain
 
 
 @pytest.mark.parametrize("frozen", [True, False])
@@ -422,58 +449,6 @@ def test_hvp_through_mam_encoder_matches_fd():
         assert rel_err(hv[k].data, fd[k]) < 1e-4, k
 
 
-@pytest.mark.parametrize("frozen", [True, False])
-@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
-def test_create_graph_backward_keeps_only_values_a_vjp_reads(variant, frozen):
-    m = _encoder(variant, frozen)
-    params = {n: g.tensor for n, g in m.trainable_groups().items()}
-    loss = m.loss(*_batch(67))
-    calls = []      # (id before, id after, outputs) of every vjp call
-
-    def logged(vjp):
-        def call(g, needs, ops):
-            first = next(ad._next_id)
-            outs = vjp(g, needs, ops)
-            calls.append((first, next(ad._next_id), outs))
-            return outs
-        return call
-
-    for node in ad.Tape.from_output(loss).nodes:
-        if node._vjp is not None:
-            node._vjp = logged(node._vjp)
-    grads = ad.backward(loss, params, create_graph=True)
-
-    graph = {n._id: n for g in grads.values() for n in ad.Tape.from_output(g).nodes}
-    returned = {t._id for _, _, outs in calls for t in outs if t is not None}
-    read = {p._id for n in graph.values() for i, p in enumerate(n._parents)
-            if i in ad._VJP_READS.get(n._op, ())}
-    made = [n for n in graph.values() if any(a < n._id < b for a, b, _ in calls)]
-    released = [n for n in made if not hasattr(n, "data")]
-    assert all(hasattr(graph[i], "data") for i in read)
-    assert all(n._id in returned or n._id in read for n in made if hasattr(n, "data"))
-    assert released
-    # a dropped value fails loudly when read, and still prints
-    assert "released" in repr(released[0])
-    with pytest.raises(AttributeError):
-        ad.neg(released[0])
-
-
-def test_grasp_scores_match_engine_bitwise(monkeypatch):
-    m = _encoder("houlsby", True)
-    batches = [_batch(37), _batch(41)]
-    plain = score_grasp(m, batches)
-    backward = ad.backward
-
-    def engine_backward(loss, params, create_graph=False):
-        # the first-order values, computed by engine ops
-        return backward(loss, params, create_graph=True)
-
-    monkeypatch.setattr(ad, "backward", engine_backward)
-    engine = score_grasp(m, batches)
-    for name in plain.scores:
-        assert plain.scores[name].tobytes() == engine.scores[name].tobytes(), name
-
-
 def _count_engine_ops(monkeypatch) -> list:
     """From here on, the name of every engine op made, in order."""
     calls = []
@@ -494,8 +469,33 @@ def test_first_order_backward_builds_no_engine_op(monkeypatch):
     calls = _count_engine_ops(monkeypatch)
     ad.backward(loss, params)
     assert calls == []
-    ad.backward(loss, params, create_graph=True)
-    assert calls
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_hvp_builds_only_the_forward_graph(variant, frozen, monkeypatch):
+    # the one backward over pairs makes no engine op, and everything an hvp
+    # builds is freed by reference counts alone once its result is dropped
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    batch = _batch(67)
+    rng = np.random.default_rng(67)
+    v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
+    loss_fn = lambda p: m.loss(*batch)
+    calls = _count_engine_ops(monkeypatch)
+    loss_fn(params)
+    forward = list(calls)
+    calls.clear()
+    live_tensors = lambda: sum(isinstance(o, ad.Tensor) for o in gc.get_objects())
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tensors()
+        ad.hvp(loss_fn, params, v)
+        assert live_tensors() == before
+    finally:
+        gc.enable()
+    assert calls == forward
 
 
 def _layer_norm_overflowing_in_its_vjp():
@@ -577,10 +577,10 @@ def test_graph_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_two_create_graph_backwards_at_once():
-    # a create-graph backward drops the values of the nodes its vjp calls made,
-    # taken as every node with an id above the call's first; with two threads
-    # the ids interleave, and each hvp must still equal the same hvp run alone
+def test_two_hvps_at_once():
+    # each thread keeps the tangents of its own hvp's forward, while the node
+    # ids of the two threads interleave; each hvp must still equal the same
+    # hvp run alone
     cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=4, d_ff=32,
                         n_layers=2, max_seq_len=16, n_classes=4)
     cases = []

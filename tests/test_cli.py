@@ -378,6 +378,7 @@ def test_deeply_nested_dataset_record_is_an_error_line(tmp_path, capsys):
     assert "train.jsonl:1: bad dataset record" in err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("row,line,message", [
     ({"tokens": [3, 99, 4], "label": 1}, 3, "token 99 outside [0, encoder.vocab_size=60)"),
     # rows share one length, so the first row is already too long
@@ -386,9 +387,11 @@ def test_deeply_nested_dataset_record_is_an_error_line(tmp_path, capsys):
     ({"tokens": [3, 5, 4], "label": 4}, 3, "label 4 outside [0, encoder.n_classes=4)"),
 ])
 def test_dataset_that_does_not_fit_the_encoder_is_refused_up_front(tmp_path, capsys,
-                                                                   row, line, message):
+                                                                   row, line, message,
+                                                                   command):
     # one field each: encoder.vocab_size, encoder.max_seq_len, encoder.n_classes;
-    # the odd record sits on line 3 of train.jsonl, after a blank line
+    # the odd record sits on line 3 of train.jsonl, after a blank line. A
+    # sweep refuses it before its pool starts, as train does before it writes
     ddir = tmp_path / "dataset"
     ddir.mkdir()
     good = json.dumps({"tokens": [1] * len(row["tokens"]), "label": 0})
@@ -396,7 +399,10 @@ def test_dataset_that_does_not_fit_the_encoder_is_refused_up_front(tmp_path, cap
     (ddir / "eval.jsonl").write_text(f"{good}\n")
     config = write_config(tmp_path, data={"path": str(ddir)})
     out = tmp_path / "run"
-    assert main(["train", "--config", config, "--out", str(out)]) == 1
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--sweep-axis", "sparsity", "--values", "0.4,0.6", "--seeds", "1"]
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {ddir / 'train.jsonl'}:{line}: {message}\n"
     assert not out.exists()
 

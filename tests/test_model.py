@@ -1,6 +1,7 @@
 """Encoder tests: shape contracts, determinism, freeze semantics, checkpoint
 round trips."""
 
+import os
 import struct
 
 import numpy as np
@@ -235,6 +236,20 @@ def test_checkpoint_bad_magic(tmp_path):
         f.write(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         read_checkpoint(path)
+
+
+def test_a_write_that_fails_midway_leaves_the_earlier_file(tmp_path):
+    # the bytes go to model.sacp.tmp first, which goes when the write fails
+    m = small_model(0)
+    path = tmp_path / "model.sacp"
+    save_checkpoint(m, str(path))
+    before = path.read_bytes()
+    assert os.listdir(tmp_path) == ["model.sacp"]
+    m.groups[list(m.groups)[-1]].tensor.data = np.array(["not a number"], dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(m, str(path))      # after every other group is written
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.sacp"]
 
 
 def test_checkpoint_group_mismatch(tmp_path):
