@@ -367,9 +367,10 @@ def _batch(seed):
 
 @pytest.mark.parametrize("frozen", [True, False])
 @pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
-def test_dual_backward_values_match_first_order_bitwise(variant, frozen):
-    # an hvp's backward runs every vjp over (value, tangent) pairs, and its
-    # value half is the first-order gradient
+def test_array_backend_matches_engine_bitwise(variant, frozen):
+    # the engine's second backward is an hvp's, which runs every vjp over
+    # (value, tangent) pairs on _Duals; its value half must be the array
+    # backend's first-order gradient, byte for byte
     assert {n for n in vars(ad._Arrays) if not n.startswith("__")} <= vars(ad._Duals).keys()
     m = _encoder(variant, frozen)
     params = {n: g.tensor for n, g in m.trainable_groups().items()}
