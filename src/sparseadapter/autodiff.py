@@ -206,7 +206,8 @@ def _sum_axes(nd: int, axes: Sequence[int] | None) -> tuple[int, ...]:
 
 
 class _Arrays:
-    """First-order backend: the engine's op names over plain float64 arrays.
+    """First-order backend: the engine's op names over plain float64 arrays,
+    and a few that only vjps call (``neg``, ``sub``, ``powc``, ...).
 
     A namespace, never instantiated. Each engine op computes its value with
     the function of the same name here, so each numpy expression exists once
@@ -251,14 +252,9 @@ class _Arrays:
         out += b
         return out
 
-    # slice_axis and pad_axis take a non-negative axis, as the engine passes it
+    # slice_axis takes a non-negative axis, as concat's vjp passes it
     def slice_axis(a, axis, start, stop):
         return a[(slice(None),) * axis + (slice(start, stop),)]
-
-    def pad_axis(a, axis, before, total):
-        z = np.zeros(a.shape[:axis] + (total,) + a.shape[axis + 1:])
-        z[(slice(None),) * axis + (slice(before, before + a.shape[axis]),)] = a
-        return z
 
     def softmax_last(x):
         e = x - np.max(x, axis=-1, keepdims=True)
@@ -358,7 +354,6 @@ class _Duals:
     swap_last2 = _linear(_Arrays.swap_last2)
     tsum = _linear(_Arrays.tsum)
     slice_axis = _linear(_Arrays.slice_axis)
-    pad_axis = _linear(_Arrays.pad_axis)
     take_rows = _linear(_Arrays.take_rows)
     mul = _bilinear(_Arrays.mul)
     matmul = _bilinear(_Arrays.matmul)
@@ -476,23 +471,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op("add", (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    def vjp(g, needs, ops):
-        return (ops.neg(g),)
-
-    return _from_op("neg", (a,), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-
-    def vjp(g, needs, ops):
-        return g if needs[0] else None, ops.neg(g) if needs[1] else None
-
-    return _from_op("sub", (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
@@ -511,15 +489,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (ops.scale(g, c),)
 
     return _from_op("scale", (a,), vjp, c)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g, needs, ops):
-        return (g,)
-
-    return _from_op("add_scalar", (a,), vjp, c)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -603,39 +572,6 @@ def tanh(a: Tensor) -> Tensor:
         return (ops.mul(g, ops.add_scalar(ops.neg(ops.mul(t, t)), 1.0)),)
 
     return _from_op("tanh", (a,), vjp)
-
-
-def powc(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-
-    def vjp(g, needs, ops):
-        return (ops.mul(g, ops.scale(ops.powc(ops.val(a), p - 1.0), p)),)
-
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return _from_op("powc", (a,), vjp, p)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = axis % a.ndim
-    total = a.shape[axis]
-
-    def vjp(g, needs, ops):
-        return (ops.pad_axis(g, axis, start, total),)
-
-    return _from_op("slice_axis", (a,), vjp, axis, start, stop)
-
-
-def pad_axis(a: Tensor, axis: int, before: int, total: int) -> Tensor:
-    """Embed `a` into zeros along one axis so that its extent becomes `total`."""
-    axis = axis % a.ndim
-    length = a.shape[axis]
-    if before < 0 or before + length > total:
-        raise ShapeError(f"pad_axis: segment [{before}, {before + length}) outside [0, {total})")
-
-    def vjp(g, needs, ops):
-        return (ops.slice_axis(g, axis, before, before + length),)
-
-    return _from_op("pad_axis", (a,), vjp, axis, before, total)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:

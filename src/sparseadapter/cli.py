@@ -31,7 +31,7 @@ from .model import EncoderConfig, Model, _atomic_open, build_encoder, freeze_bac
     load_checkpoint, save_checkpoint
 from .parallel import available_cpus
 from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
-from .training import OptimizerConfig, evaluate, train
+from .training import OptimizerConfig, TrainingDiverged, evaluate, train
 
 OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
@@ -223,7 +223,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> Non
     os.makedirs(out_dir, exist_ok=True)
     with _atomic_open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         f.write(serialize_config(cfg))
-    metrics = train(model, dataset, cfg.optimizer)
+    try:
+        metrics = train(model, dataset, cfg.optimizer)
+    except TrainingDiverged as exc:     # the records before it, and no checkpoint
+        with _atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
+            f.write(exc.metrics.to_csv())
+        raise
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.sacp"))
     with _atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.to_csv())

@@ -20,7 +20,7 @@ import io
 import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ ADAM_EPS = 1e-8
 
 class TrainingDiverged(ad.NumericError):
     """A non-finite value at a training step. (step, cause) are the pickled
-    arguments, so the error survives the trip back from a sweep worker."""
+    arguments, so the error survives the trip back from a sweep worker. Out of
+    `train`, `metrics` holds the records before `step`, alike on any CPU count."""
 
     def __init__(self, step: int, cause: Exception):
         super().__init__(step, cause)
@@ -272,34 +273,38 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
     overlap = uses_threads(available_cpus() if cpus is None else cpus)
     rng = np.random.default_rng(cfg.seed)
     step = 0
-    with ThreadPoolExecutor(max_workers=1) as pool:    # joined on every exit
-        evals = _Evals(model, dataset.eval, cfg.batch_size, pool if overlap else None)
-        for _ in range(cfg.epochs):
-            perm = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                tokens = dataset.train.tokens[idx]
-                labels = dataset.train.labels[idx]
-                step += 1
-                try:
-                    # overflow warnings are redundant here: any non-finite value
-                    # raises NumericError, reported below with the step number
-                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                        logits = model.forward(tokens)
-                        loss = ad.cross_entropy_logits(logits, labels)
-                        grads = ad.backward(loss,
-                                            {n_: p.tensor for n_, p in params.items()})
-                        lr = lr_at(step, total_steps, cfg)
-                        masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
-                                         active_mask, state, cfg, lr)
-                except ad.NumericError as exc:
-                    evals.drain()       # an earlier eval's divergence comes first
-                    raise TrainingDiverged(step, exc) from exc
-                acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-                metrics.records.append(StepRecord(step, "train", loss.item(), acc, lr))
-                if step % eval_every == 0 or step == total_steps:
-                    record = StepRecord(step, "eval", math.nan, math.nan, lr)
-                    metrics.records.append(record)     # its slot, filled by evals
-                    evals.submit(record)
-        evals.drain()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:    # joined on every exit
+            evals = _Evals(model, dataset.eval, cfg.batch_size, pool if overlap else None)
+            for _ in range(cfg.epochs):
+                perm = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    idx = perm[start:start + cfg.batch_size]
+                    tokens = dataset.train.tokens[idx]
+                    labels = dataset.train.labels[idx]
+                    step += 1
+                    try:
+                        # overflow warnings are redundant here: any non-finite value
+                        # raises NumericError, reported below with the step number
+                        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                            logits = model.forward(tokens)
+                            loss = ad.cross_entropy_logits(logits, labels)
+                            grads = ad.backward(loss,
+                                                {n_: p.tensor for n_, p in params.items()})
+                            lr = lr_at(step, total_steps, cfg)
+                            masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
+                                             active_mask, state, cfg, lr)
+                    except ad.NumericError as exc:
+                        evals.drain()       # an earlier eval's divergence comes first
+                        raise TrainingDiverged(step, exc) from exc
+                    acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
+                    metrics.records.append(StepRecord(step, "train", loss.item(), acc, lr))
+                    if step % eval_every == 0 or step == total_steps:
+                        record = StepRecord(step, "eval", math.nan, math.nan, lr)
+                        metrics.records.append(record)     # its slot, filled by evals
+                        evals.submit(record)
+            evals.drain()
+    except TrainingDiverged as exc:
+        exc.metrics = replace(metrics, records=[r for r in metrics.records if r.step < exc.step])
+        raise
     return metrics

@@ -11,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sparseadapter import cli
+from sparseadapter import cli, training
 from sparseadapter.adapters import AdapterSpec, LargeSparseConfig
+from sparseadapter.autodiff import NumericError
 from sparseadapter.cli import (DataConfig, ExperimentConfig, cmd_sweep, load_config,
                                main, parse_config, serialize_config)
 from sparseadapter.data import SyntheticTaskSpec
@@ -461,7 +462,45 @@ def test_divergence_exit_code(tmp_path, capsys):
         tmp_path, optimizer={"peak_lr": 1e30, "epochs": 2, "batch_size": 16,
                              "seed": 0})
     assert main(["train", "--config", config, "--out", str(tmp_path / "d")]) == 3
-    assert "diverged at step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step ") and err.count("\n") == 1
+    # the records of the steps before it, each with its eval, and no
+    # checkpoint or summary
+    step = int(err.split()[5].rstrip(":"))
+    assert sorted(os.listdir(tmp_path / "d")) == ["config.json", "metrics.csv"]
+    rows = list(csv.DictReader(open(tmp_path / "d" / "metrics.csv").read().splitlines()))
+    assert [(int(r["step"]), r["split"]) for r in rows] == \
+        [(s, split) for s in range(1, step) for split in ("train", "eval")]
+
+
+def test_diverged_train_leaves_the_records_before_its_step(tmp_path, capsys, monkeypatch):
+    # the eval of step 4 diverges; on 2 CPUs it overlaps training, which runs
+    # on past it, yet both runs leave the same records: those of steps 1-3
+    config = write_config(tmp_path, optimizer={"peak_lr": 1e-3, "epochs": 2,
+                                               "batch_size": 16, "seed": 0})
+    evaluate, written = training.evaluate, []
+    for cpus in (1, 2):
+        evals = []
+
+        def diverging_evaluate(*args):
+            evals.append(args)      # one eval per step here
+            if len(evals) == 4:
+                raise NumericError("forced in the eval")
+            return evaluate(*args)
+
+        monkeypatch.setattr(training, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "evaluate", diverging_evaluate)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["train", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: training diverged at step 4: forced in the eval\n"
+        assert sorted(os.listdir(out)) == ["config.json", "metrics.csv"]
+        written.append(open(out / "metrics.csv").read())
+    assert written[0] == written[1]
+    rows = list(csv.DictReader(written[0].splitlines()))
+    assert [(r["step"], r["split"]) for r in rows] == \
+        [(str(s), split) for s in (1, 2, 3) for split in ("train", "eval")]
+    assert all(np.isfinite(float(r["loss"])) for r in rows)
 
 
 @pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", 2.0),
