@@ -187,10 +187,11 @@ def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
 
 
 def make_mask(cfg: ExperimentConfig, model: Model, dataset: TaskData, cpus: int):
-    """The mask of `cfg.prune`, scored on `cpus` CPUs."""
+    """The mask of `cfg.prune`, scored on `cpus` CPUs; only snip and grasp
+    read scoring batches, so only they get them built."""
+    batches = scoring_batches(cfg, dataset) if cfg.prune.method in ("snip", "grasp") else ()
     return compute_mask(model, cfg.prune.method, cfg.prune.s, cfg.prune.seed,
-                        batches=scoring_batches(cfg, dataset),
-                        snip_abs=cfg.prune.snip_abs, cpus=cpus)
+                        batches=batches, snip_abs=cfg.prune.snip_abs, cpus=cpus)
 
 
 def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:

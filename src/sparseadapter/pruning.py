@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,15 @@ class PruneMask:
             if arr.size == 0:       # every prunable weight has an element
                 raise ValueError(f"mask group '{name}' has no elements")
             arr.setflags(write=False)
+
+    @cached_property
+    def keep(self) -> dict[str, np.ndarray]:
+        """Each group's mask as read-only float64 1.0 (kept) and 0.0, made
+        once; the optimizer multiplies the group's gradient by it."""
+        keep = {name: arr.astype(np.float64) for name, arr in self.masks.items()}
+        for arr in keep.values():
+            arr.setflags(write=False)
+        return keep
 
     def total(self) -> int:
         return sum(a.size for a in self.masks.values())

@@ -1,8 +1,12 @@
 """Masked fine-tuning loop: Adam with decoupled weight decay, linear warmup
 then linear decay, frozen backbone, and mask-preserving updates.
 
-After every optimizer step the weights AND both Adam moments are re-zeroed at
-masked positions, so pruned slots can never leak back through momentum.
+A masked slot's gradient is zero, so a pruned weight and both of its Adam
+moments stay exactly zero from the zeros `apply_mask` leaves: pruned slots
+never leak back through momentum.
+
+Each step is one call that returns plain numbers, so its graph is freed
+before the next step's forward builds another.
 
 When a run has at least 2 CPUs to itself, each evaluation inside `train`
 overlaps the training steps that follow it: a worker thread evaluates a
@@ -99,11 +103,18 @@ class AdamState:
 def masked_adam_step(params, grads: dict[str, np.ndarray],
                      mask: PruneMask | None, state: AdamState,
                      cfg: OptimizerConfig, lr: float) -> None:
-    """One AdamW step over the trainable groups; masked slots stay exactly zero.
+    """One AdamW step over the trainable groups; masked slots stay exactly
+    zero if they start at zero, as `apply_mask` and `AdamState.for_params`
+    leave them.
 
-    `params` is a mapping name -> ParamGroup (trainable only); `grads` holds
-    plain arrays of matching shapes.
+    Each masked group's gradient is multiplied by the mask's `keep` array, so
+    a masked slot sees g = +-0.0. Then m and v stay +0.0 there (+0.0 plus
+    (1 - beta1) * -0.0 is +0.0, and g * g is +0.0), the update is +0.0 (weight
+    decay of a zero weight included) and so is w. A masked slot that starts
+    nonzero is not re-zeroed. `params` is a mapping name -> ParamGroup
+    (trainable only); `grads` holds plain arrays of matching shapes.
     """
+    keep = {} if mask is None else mask.keep
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -112,6 +123,8 @@ def masked_adam_step(params, grads: dict[str, np.ndarray],
         w = pg.tensor.data
         if g.shape != w.shape:
             raise ValueError(f"group '{name}': grad shape {g.shape} != {w.shape}")
+        if name in keep:
+            g = g * keep[name]
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
@@ -120,13 +133,21 @@ def masked_adam_step(params, grads: dict[str, np.ndarray],
         v += (1.0 - cfg.beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + cfg.weight_decay * w
         w -= lr * update
-        if mask is not None and name in mask.masks:
-            dead = ~mask.masks[name]
-            w[dead] = 0.0
-            m[dead] = 0.0
-            v[dead] = 0.0
         if not np.all(np.isfinite(w)):
             raise ad.NumericError(f"non-finite update for group '{name}'")
+
+
+def _train_step(model: Model, params, tokens: np.ndarray, labels: np.ndarray,
+                state: AdamState, cfg: OptimizerConfig, lr: float) -> tuple[float, float]:
+    """Forward, backward and AdamW step on one batch; the batch's loss and
+    accuracy. Only plain numbers leave, so the step's graph is freed when
+    the call returns, before the next step's forward builds its own."""
+    logits = model.forward(tokens)
+    loss = ad.cross_entropy_logits(logits, labels)
+    grads = ad.backward(loss, {n: p.tensor for n, p in params.items()})
+    masked_adam_step(params, {n: g.data for n, g in grads.items()}, model.mask,
+                     state, cfg, lr)
+    return loss.item(), float(np.mean(np.argmax(logits.data, axis=1) == labels))
 
 
 @dataclass
@@ -250,13 +271,13 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
     The model is expected to be frozen via freeze_backbone (adapters + head
     trainable). `dataset` carries .train and .eval splits (see
     sparseadapter.data). The mask, if any, is the one `apply_mask` registered
-    on the model; every step re-enforces it. `cpus` is the number of CPUs the
-    run has to itself (default: every CPU this process may use); with 2 or
-    more, each evaluation overlaps the following training steps.
+    on the model; every step keeps its masked weights at zero. `cpus` is the
+    number of CPUs the run has to itself (default: every CPU this process may
+    use); with 2 or more, each evaluation overlaps the following training
+    steps.
     """
     if len(dataset.train.labels) == 0:
         raise ValueError("train: empty training split")
-    active_mask = model.mask
 
     params = model.trainable_groups()
     state = AdamState.for_params(params)
@@ -264,7 +285,7 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
     n = len(dataset.train.labels)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    metrics = RunMetrics(kept_fraction=kept_param_fraction(model, active_mask),
+    metrics = RunMetrics(kept_fraction=kept_param_fraction(model, model.mask),
                          total_steps=total_steps)
     if cfg.epochs == 0:
         return metrics
@@ -283,22 +304,17 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
                     tokens = dataset.train.tokens[idx]
                     labels = dataset.train.labels[idx]
                     step += 1
+                    lr = lr_at(step, total_steps, cfg)
                     try:
                         # overflow warnings are redundant here: any non-finite value
                         # raises NumericError, reported below with the step number
                         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                            logits = model.forward(tokens)
-                            loss = ad.cross_entropy_logits(logits, labels)
-                            grads = ad.backward(loss,
-                                                {n_: p.tensor for n_, p in params.items()})
-                            lr = lr_at(step, total_steps, cfg)
-                            masked_adam_step(params, {n_: g.data for n_, g in grads.items()},
-                                             active_mask, state, cfg, lr)
+                            loss, acc = _train_step(model, params, tokens, labels,
+                                                    state, cfg, lr)
                     except ad.NumericError as exc:
                         evals.drain()       # an earlier eval's divergence comes first
                         raise TrainingDiverged(step, exc) from exc
-                    acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-                    metrics.records.append(StepRecord(step, "train", loss.item(), acc, lr))
+                    metrics.records.append(StepRecord(step, "train", loss, acc, lr))
                     if step % eval_every == 0 or step == total_steps:
                         record = StepRecord(step, "eval", math.nan, math.nan, lr)
                         metrics.records.append(record)     # its slot, filled by evals

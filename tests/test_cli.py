@@ -6,6 +6,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +22,8 @@ from sparseadapter.data import SyntheticTaskSpec
 from sparseadapter.model import EncoderConfig
 from sparseadapter.pruning import PruneConfig
 from sparseadapter.training import OptimizerConfig
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_config(tmp_path, **overrides) -> dict:
@@ -198,6 +202,24 @@ def test_prune_is_byte_deterministic(tmp_path):
     a = open(os.path.join(out1, "mask.sadm"), "rb").read()
     b = open(os.path.join(out2, "mask.sadm"), "rb").read()
     assert a == b
+
+
+@pytest.mark.parametrize("method", ["random", "magnitude", "er"])
+def test_scoring_batches_are_built_only_for_a_score_that_reads_them(tmp_path, method):
+    # a billion batches would take minutes and gigabytes to build; these
+    # methods read none, so the mask is the one a single batch gives
+    masks = []
+    for score_batches in (1, 10**9):
+        prune = {"method": method, "s": 0.4, "seed": 0, "score_batches": score_batches}
+        out = tmp_path / str(score_batches)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparseadapter.cli", "prune", "--out", str(out),
+             "--config", write_config(tmp_path, prune=prune)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        masks.append((out / "mask.sadm").read_bytes())
+    assert masks[0] == masks[1]
 
 
 def test_train_writes_all_artifacts(tmp_path):

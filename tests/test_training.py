@@ -7,14 +7,15 @@ import json
 import math
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from sparseadapter import training
+from sparseadapter import autodiff as ad, training
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.data import Split, SyntheticTaskSpec, TaskData, generate
-from sparseadapter.model import EncoderConfig, ParamGroup, build_encoder, \
+from sparseadapter.model import EncoderConfig, Model, ParamGroup, build_encoder, \
     freeze_backbone, read_checkpoint, save_checkpoint
 from sparseadapter.pruning import PruneMask, apply_mask, compute_mask, \
     score_random, prune_by_percentile
@@ -133,9 +134,8 @@ def test_masked_positions_and_moments_stay_zero():
     for i in range(20):
         masked_adam_step({"w": pg}, {"w": rng.normal(0, 1, 10)}, mask, state,
                          cfg, lr=0.01)
-        assert np.all(pg.tensor.data[~keep] == 0.0)
-        assert np.all(state.m["w"][~keep] == 0.0)
-        assert np.all(state.v["w"][~keep] == 0.0)
+        for arr in (pg.tensor.data, state.m["w"], state.v["w"]):
+            assert arr[~keep].tobytes() == bytes(8 * 5)     # +0.0, never -0.0
 
 
 def test_shape_mismatch_rejected():
@@ -308,6 +308,32 @@ def test_eval_divergence_reports_the_eval_step(monkeypatch, cpus, later_step_fai
     assert "forced in the eval" in str(info.value)
     assert threading.active_count() == threads
     assert calls == [(cpus == 1, cpus == 1)] * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_step_graph_is_freed_before_the_next_forward(monkeypatch, cpus):
+    # each training loss holds its step's whole graph; a Tensor takes no weak
+    # reference, but its value lives exactly as long as it does here
+    losses, alive = [], []
+    forward, cross_entropy = Model.forward, ad.cross_entropy_logits
+
+    def watched_forward(model, tokens):
+        if ad._grad_enabled and threading.current_thread() is threading.main_thread():
+            alive.append(sum(ref() is not None for ref in losses))
+        return forward(model, tokens)
+
+    def watched_loss(logits, labels):
+        loss = cross_entropy(logits, labels)
+        if loss.requires_grad:
+            losses.append(weakref.ref(loss.data))
+        return loss
+
+    monkeypatch.setattr(Model, "forward", watched_forward)
+    monkeypatch.setattr(ad, "cross_entropy_logits", watched_loss)
+    model, data = small_setup(seed=2)
+    train(model, data, quick_opt(epochs=2), cpus=cpus)
+    assert len(losses) == 8
+    assert alive == [0] * 8
 
 
 def test_available_cpus_without_an_affinity_call(monkeypatch):
