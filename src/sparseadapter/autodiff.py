@@ -178,6 +178,7 @@ def _from_op(op: str, parents: tuple[Tensor, ...], vjp: Callable, *consts) -> Te
 # Tanh-approximation constants; the derivative uses the same constant set.
 GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_C1 = 0.044715
+LAYER_NORM_EPS = 1e-5         # added to the variance before its inverse square root
 
 
 def _pow_data(x: np.ndarray, p: float) -> np.ndarray:
@@ -203,6 +204,16 @@ def _in_place(ufunc):
 
 def _sum_axes(nd: int, axes: Sequence[int] | None) -> tuple[int, ...]:
     return tuple(range(nd)) if axes is None else tuple(sorted(ax % nd for ax in axes))
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, inv): y = (x - mean) * inv, a new array, with inv = 1 / std, on the last axis."""
+    # np.mean is add.reduce and then a divide by the count
+    d = x.shape[-1]
+    y = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    y *= inv
+    return y, inv
 
 
 class _Arrays:
@@ -267,15 +278,11 @@ class _Arrays:
         lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=-1))
         return np.mean(lse - z[np.arange(len(labels)), labels])
 
-    def layer_norm(x, gamma, beta, eps):
-        # np.mean is add.reduce and then a divide by the count
-        d = x.shape[-1]
-        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
-        xc *= inv
-        xc *= gamma
-        xc += beta
-        return xc
+    def layer_norm(x, gamma, beta):
+        y, _ = _normalize(x)
+        y *= gamma
+        y += beta
+        return y
 
     def gelu(x):
         return _gelu(_Arrays, x)
@@ -396,22 +403,19 @@ class _Duals:
         return _Dual(out, np.mean(np.add.reduce(p * zt, axis=-1)
                                   - zt[np.arange(len(labels)), labels]))
 
-    def layer_norm(x, gamma, beta, eps):
-        # y = (x - mean) * inv is recomputed; the tangent of y is
+    def layer_norm(x, gamma, beta):
+        # the value is _Arrays.layer_norm's chain on y; the tangent of y is
         # inv (dxc - y mean(y dxc)), where dxc is the tangent of x - mean
-        out = _Arrays.layer_norm(x.value, gamma.value, beta.value, eps)
-        xt, gt = x.tangent, gamma.tangent
-        dy = y = None
-        if xt is not None or gt is not None:
-            d = out.shape[-1]
-            xc = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / d
-            inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
-            y = xc * inv
-        if xt is not None:
+        y, inv = _normalize(x.value)
+        out = y * gamma.value
+        out += beta.value
+        dy = None
+        if x.tangent is not None:
+            xt, d = x.tangent, out.shape[-1]
             dxc = xt - np.add.reduce(xt, axis=-1, keepdims=True) / d
             dy = inv * (dxc - y * (np.add.reduce(y * dxc, axis=-1, keepdims=True) / d))
         t = _t_sum(None if dy is None else dy * gamma.value,
-                   None if gt is None else y * gt, beta.tangent)
+                   None if gamma.tangent is None else y * gamma.tangent, beta.tangent)
         return _Dual(out, None if t is None else np.broadcast_to(t, out.shape))
 
     def gelu(x):
@@ -689,7 +693,7 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _from_op("cross_entropy_logits", (logits,), vjp, labels)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     if gamma.ndim != 1 or beta.ndim != 1 or x.shape[-1] != gamma.shape[0] \
             or gamma.shape != beta.shape:
@@ -704,7 +708,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         mu = ops.scale_(ops.tsum(xv, axes=(-1,), keepdims=True), 1.0 / d)
         xc = ops.sub(xv, ops.broadcast_to(mu, x.shape))
         var = ops.scale_(ops.tsum(ops.mul(xc, xc), axes=(-1,), keepdims=True), 1.0 / d)
-        inv = ops.powc(ops.add_scalar_(var, eps), -0.5)
+        inv = ops.powc(ops.add_scalar_(var, LAYER_NORM_EPS), -0.5)
         y = ops.mul_(xc, ops.broadcast_to(inv, x.shape))
         gx = ggamma = gbeta = None
         if needs[0]:
@@ -723,7 +727,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gbeta = ops.tsum(g, axes=lead) if lead else g
         return gx, ggamma, gbeta
 
-    return _from_op("layer_norm", (x, gamma, beta), vjp, eps)
+    return _from_op("layer_norm", (x, gamma, beta), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .adapters import AdapterSpec, LargeSparseConfig, insert_adapters
 from .autodiff import NumericError
 from .data import Split, SyntheticTaskSpec, TaskData, generate, load_dir, \
     record_line
-from .model import EncoderConfig, Model, _atomic_open, build_encoder, freeze_backbone, \
+from .model import EncoderConfig, Model, _write_file, build_encoder, freeze_backbone, \
     load_checkpoint, save_checkpoint
 from .parallel import available_cpus
 from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
@@ -176,12 +177,18 @@ def load_data(cfg: ExperimentConfig) -> TaskData:
 
 
 def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
-    """Deterministic mini-batches of training data for snip/grasp scoring."""
+    """Deterministic mini-batches of training data for snip/grasp scoring;
+    a count whose int64 tokens and labels exceed physical memory is refused."""
     rng = np.random.default_rng(cfg.prune.seed)
     n = len(dataset.train.labels)
+    rows = min(cfg.optimizer.batch_size, n)
+    need = cfg.prune.score_batches * rows * (dataset.train.tokens.shape[1] + 1) * 8
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"prune.score_batches={cfg.prune.score_batches} asks for {need} "
+                         f"bytes of scoring batches, more than physical memory")
     batches = []
     for _ in range(cfg.prune.score_batches):
-        idx = rng.choice(n, size=min(cfg.optimizer.batch_size, n), replace=False)
+        idx = rng.choice(n, size=rows, replace=False)
         batches.append((dataset.train.tokens[idx], dataset.train.labels[idx]))
     return batches
 
@@ -222,19 +229,15 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mask_path: str | None) -> Non
         apply_mask(model, load_mask(mask_path))
     dataset = load_data(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    with _atomic_open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-        f.write(serialize_config(cfg))
+    _write_file(os.path.join(out_dir, "config.json"), serialize_config(cfg))
     try:
         metrics = train(model, dataset, cfg.optimizer)
     except TrainingDiverged as exc:     # the records before it, and no checkpoint
-        with _atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
-            f.write(exc.metrics.to_csv())
+        _write_file(os.path.join(out_dir, "metrics.csv"), exc.metrics.to_csv())
         raise
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.sacp"))
-    with _atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as f:
-        f.write(metrics.to_csv())
-    with _atomic_open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
-        f.write(metrics.summary_json())
+    _write_file(os.path.join(out_dir, "metrics.csv"), metrics.to_csv())
+    _write_file(os.path.join(out_dir, "summary.json"), metrics.summary_json())
     print(f"final eval accuracy: {metrics.final_eval_accuracy}")
     print(f"artifacts in {out_dir}")
 
@@ -309,10 +312,9 @@ def _sweep_rows(points: list[ExperimentConfig], results: list[tuple],
 
 
 def _write_sweep_csv(path: str, rows: list[tuple], aborted: str | None = None) -> None:
-    with _atomic_open(path, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows([SWEEP_COLUMNS, *rows])
-        if aborted:
-            f.write(f"# aborted: {aborted}\n")
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([SWEEP_COLUMNS, *rows])
+    _write_file(path, text.getvalue() + (f"# aborted: {aborted}\n" if aborted else ""))
 
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str,

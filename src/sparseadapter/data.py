@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _write_file
+
 TASKS = ("token_majority", "keyed_lookup", "parity_window")
 
 MARKERS_PER_CLASS = 8
@@ -128,10 +130,9 @@ def generate(spec: SyntheticTaskSpec) -> TaskData:
 
 
 def write_jsonl(split: Split, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row, label in zip(split.tokens, split.labels):
-            f.write(json.dumps({"tokens": [int(t) for t in row],
-                                "label": int(label)}) + "\n")
+    _write_file(path, "".join(json.dumps({"tokens": [int(t) for t in row],
+                                          "label": int(label)}) + "\n"
+                              for row, label in zip(split.tokens, split.labels)))
 
 
 def read_jsonl(path: str) -> Split:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import IO, Iterator
 
 import numpy as np
 
@@ -217,16 +216,15 @@ def freeze_backbone(model: Model) -> None:
 # trainable flag, and raw little-endian float64 data.
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _atomic_open(path: str, mode: str, **kwargs) -> Iterator[IO]:
-    """`open` of `<path>.tmp` in the same directory, moved onto `path` by
-    os.replace when the block ends; on any error the temporary goes, and
-    `path` keeps what it held. A run killed mid-write leaves no partial file
-    under `path`."""
+def _write_file(path: str, data: bytes | str) -> None:
+    """Write `data` to `<path>.tmp` in the same directory and move it onto
+    `path` by os.replace; a str goes as UTF-8 with no newline translation.
+    On any error the temporary goes, and `path` keeps what it held. A run
+    killed mid-write leaves no partial file under `path`."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as f:
-            yield f
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -235,30 +233,27 @@ def _atomic_open(path: str, mode: str, **kwargs) -> Iterator[IO]:
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    with _atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<B", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(model.groups)))
-        for name, pg in model.groups.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<B", pg.tensor.ndim))
-            for dim in pg.tensor.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(struct.pack("<B", 1 if pg.trainable else 0))
-            f.write(pg.tensor.data.astype("<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION),
+             struct.pack("<I", len(model.groups))]
+    for name, pg in model.groups.items():
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<B", pg.tensor.ndim),
+                  *(struct.pack("<I", dim) for dim in pg.tensor.shape),
+                  struct.pack("<B", 1 if pg.trainable else 0),
+                  pg.tensor.data.astype("<f8").tobytes()]
+    _write_file(path, b"".join(parts))
 
 
 class _Reader:
-    """Bounded little-endian reader over the bytes of one SACP or SADM file.
+    """Bounded little-endian reader over the whole of one SACP or SADM file.
 
     Every read names what it is for, and a read past the end raises
     ValueError instead of reaching struct or numpy with a bad offset.
     """
 
-    def __init__(self, blob: bytes, kind: str):
-        self.view = memoryview(blob)
+    def __init__(self, path: str, kind: str):
+        with open(path, "rb") as f:
+            self.view = memoryview(f.read())
         self.kind = kind
         self.off = 0
         self.names: set[str] = set()
@@ -304,8 +299,7 @@ class _Reader:
 
 def read_checkpoint(path: str) -> dict[str, tuple[np.ndarray, bool]]:
     """Parse a checkpoint into {name: (array, trainable)}."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), "checkpoint")
+    r = _Reader(path, "checkpoint")
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     (count,) = r.fields("I", "group count")
     out: dict[str, tuple[np.ndarray, bool]] = {}

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import Model, _Reader, _atomic_open
+from .model import Model, _Reader, _write_file
 from .parallel import map_in_order
 
 MASK_MAGIC = b"SADM"
@@ -365,14 +365,12 @@ def save_mask(mask: PruneMask, path: str) -> None:
         m = mask.masks[name]
         parts += [struct.pack("<H", len(raw)), raw, struct.pack("<Q", m.size),
                   np.packbits(m.reshape(-1), bitorder="little").tobytes()]
-    with _atomic_open(path, "wb") as f:
-        f.write(b"".join(parts))
+    _write_file(path, b"".join(parts))
 
 
 def load_mask(path: str) -> PruneMask:
     """Read a mask file; group arrays come back flat (`apply_mask` shapes them)."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), "mask")
+    r = _Reader(path, "mask")
     r.header(MASK_MAGIC, MASK_VERSION)
     method = r.text("B", "method tag")
     s, seed, count = r.fields("dqI", "mask header fields")

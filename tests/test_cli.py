@@ -222,6 +222,22 @@ def test_scoring_batches_are_built_only_for_a_score_that_reads_them(tmp_path, me
     assert masks[0] == masks[1]
 
 
+@pytest.mark.parametrize("method", ["snip", "grasp"])
+def test_scoring_batches_that_cannot_fit_are_refused_up_front(tmp_path, method):
+    # a billion batches of 16 rows of 8 tokens and a label is about 1.2 TB of
+    # int64, more than any machine this runs on has: refused before drawing
+    prune = {"method": method, "s": 0.4, "seed": 0, "score_batches": 10**9}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparseadapter.cli", "prune", "--out", str(out),
+         "--config", write_config(tmp_path, prune=prune)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: prune.score_batches=1000000000 ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_writes_all_artifacts(tmp_path):
     config = write_config(tmp_path)
     out = str(tmp_path / "run")
@@ -523,6 +539,33 @@ def test_diverged_train_leaves_the_records_before_its_step(tmp_path, capsys, mon
     assert [(r["step"], r["split"]) for r in rows] == \
         [(str(s), split) for s in (1, 2, 3) for split in ("train", "eval")]
     assert all(np.isfinite(float(r["loss"])) for r in rows)
+
+
+@pytest.mark.parametrize("name", ["config.json", "metrics.csv", "summary.json",
+                                  "checkpoint.sacp", "mask.sadm", "sweep.csv"])
+def test_a_failed_move_leaves_the_earlier_file_and_no_temporary(tmp_path, capsys,
+                                                                 monkeypatch, name):
+    # the new bytes reach <name>.tmp; moving it onto <name> fails, the error
+    # is one line, <name> keeps what it held and the temporary is gone
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / name).write_bytes(b"earlier")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if src == str(out / f"{name}.tmp"):
+            raise OSError("forced in the move")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    command = {"mask.sadm": ["prune"],
+               "sweep.csv": ["sweep", "--sweep-axis", "sparsity", "--values", "0.4",
+                             "--seeds", "1"]}.get(name, ["train"])
+    assert main([*command, "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: forced in the move\n"
+    assert (out / name).read_bytes() == b"earlier"
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", 2.0),

@@ -9,8 +9,9 @@ import pytest
 
 import sparseadapter.autodiff as ad
 from sparseadapter.adapters import AdapterSpec, insert_adapters
-from sparseadapter.model import (EncoderConfig, build_encoder, freeze_backbone,
-                                 load_checkpoint, read_checkpoint, save_checkpoint)
+from sparseadapter.model import (EncoderConfig, _write_file, build_encoder,
+                                 freeze_backbone, load_checkpoint, read_checkpoint,
+                                 save_checkpoint)
 
 SMALL = EncoderConfig(vocab_size=50, d_model=16, n_heads=4, d_ff=32, n_layers=2,
                       max_seq_len=16, n_classes=4)
@@ -239,7 +240,8 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_a_write_that_fails_midway_leaves_the_earlier_file(tmp_path):
-    # the bytes go to model.sacp.tmp first, which goes when the write fails
+    # every group is packed before model.sacp.tmp is made, so a group that
+    # cannot be packed leaves no file behind
     m = small_model(0)
     path = tmp_path / "model.sacp"
     save_checkpoint(m, str(path))
@@ -247,9 +249,18 @@ def test_a_write_that_fails_midway_leaves_the_earlier_file(tmp_path):
     assert os.listdir(tmp_path) == ["model.sacp"]
     m.groups[list(m.groups)[-1]].tensor.data = np.array(["not a number"], dtype=object)
     with pytest.raises(ValueError):
-        save_checkpoint(m, str(path))      # after every other group is written
+        save_checkpoint(m, str(path))      # after every other group is packed
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.sacp"]
+
+
+def test_text_is_written_as_utf8_with_its_own_line_ends(tmp_path):
+    path = tmp_path / "notes.txt"
+    _write_file(str(path), "a\nb\n")
+    assert path.read_bytes() == b"a\nb\n"
+    _write_file(str(path), "\u00e9\r\n")
+    assert path.read_bytes() == b"\xc3\xa9\r\n"
+    assert os.listdir(tmp_path) == ["notes.txt"]
 
 
 def test_checkpoint_group_mismatch(tmp_path):
