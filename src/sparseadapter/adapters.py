@@ -38,7 +38,7 @@ class AdapterSpec:
     Both projections are drawn from Gaussian(0, gaussian_std) instead of the
     conventional zero up-projection: zero weights would give identically zero
     magnitude and loss-sensitivity scores, making pruning at initialization
-    degenerate. ``lora_zero_b`` restores zero-init B for non-pruning baselines.
+    degenerate.
     """
 
     variant: str = "houlsby"
@@ -46,7 +46,6 @@ class AdapterSpec:
     lora_alpha: float = 16.0
     prefix_len: int = 4
     gaussian_std: float = 1e-2
-    lora_zero_b: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -169,9 +168,8 @@ def _add_lora(model: Model, rng: np.random.Generator, proj: str,
     d, r = model.cfg.d_model, spec.r
     a = model.add_group(f"{proj}.lora.A", rng.normal(0.0, spec.gaussian_std, (d, r)),
                         prunable=True, adapter=True)
-    b_init = np.zeros((r, d)) if spec.lora_zero_b else \
-        rng.normal(0.0, spec.gaussian_std, (r, d))
-    b = model.add_group(f"{proj}.lora.B", b_init, prunable=True, adapter=True)
+    b = model.add_group(f"{proj}.lora.B", rng.normal(0.0, spec.gaussian_std, (r, d)),
+                        prunable=True, adapter=True)
     model.adapter_sites[f"{proj}.lora"] = LoraProjection(a.tensor, b.tensor,
                                                          spec.lora_alpha, r)
 

@@ -538,18 +538,16 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _from_op("reshape", (a,), vjp, shape)
 
 
-def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     """Sum over the given axes (all axes when None)."""
-    nd = a.ndim
-    norm = _sum_axes(nd, axes)
+    norm = _sum_axes(a.ndim, axes)
     orig = a.shape
-    kd_shape = tuple(1 if i in norm else orig[i] for i in range(nd))
+    kd_shape = tuple(1 if i in norm else n for i, n in enumerate(orig))
 
     def vjp(g, needs, ops):
-        gg = g if keepdims or nd == 0 else ops.reshape(g, kd_shape)
-        return (ops.broadcast_to(gg, orig),)
+        return (ops.broadcast_to(ops.reshape(g, kd_shape), orig),)
 
-    return _from_op("tsum", (a,), vjp, norm, keepdims)
+    return _from_op("tsum", (a,), vjp, norm)
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -34,7 +34,6 @@ from .parallel import available_cpus
 from .pruning import PruneConfig, apply_mask, compute_mask, load_mask, save_mask
 from .training import OptimizerConfig, TrainingDiverged, evaluate, train
 
-OUT_ENV_VAR = "SPARSEADAPTER_OUT"
 SEED_STRIDE = 10007  # run-index offset applied to every seed in a sweep
 
 
@@ -137,7 +136,29 @@ def _map_seeds(cfg: ExperimentConfig, fn) -> ExperimentConfig:
 # Pipeline pieces shared by the subcommands
 # ---------------------------------------------------------------------------
 
+def _refuse_past_memory(what: str, need: int) -> None:
+    """Refuse the `need` bytes that `what` asks for when they exceed physical
+    memory; each caller asks before it allocates any of them."""
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"{what} asks for {need} bytes, more than physical memory")
+
+
+def _param_count(cfg: ExperimentConfig) -> int:
+    """The float64 elements of `build_model(cfg)`'s groups, from the config
+    alone: the encoder's (see `build_encoder`) and the variant's adapters'."""
+    enc, spec = cfg.encoder, cfg.adapter
+    d, ff, r = enc.d_model, enc.d_ff, spec.r
+    layer = 4 * d * d + 2 * d * ff + 9 * d + ff      # norms, q/k/v/o, fc1, fc2
+    bottleneck = 2 * d * r + r + d
+    adapters = {"houlsby": 2 * bottleneck, "pfeiffer": bottleneck, "lora": 4 * d * r,
+                "mam": bottleneck + 2 * spec.prefix_len * d}[spec.variant]
+    return ((enc.vocab_size + enc.max_seq_len + 2) * d + (d + 1) * enc.n_classes
+            + enc.n_layers * (layer + adapters))
+
+
 def build_model(cfg: ExperimentConfig) -> Model:
+    n = _param_count(cfg)
+    _refuse_past_memory(f"config.encoder with config.adapter ({n} parameters)", 8 * n)
     model = build_encoder(cfg.encoder, cfg.seed)
     insert_adapters(model, cfg.adapter, cfg.seed + 1)
     freeze_backbone(model)
@@ -167,9 +188,13 @@ def _check_fits(split: Split, path: str, enc: EncoderConfig) -> None:
 
 def load_data(cfg: ExperimentConfig) -> TaskData:
     """The config's dataset; a synthetic task fits the encoder by the config's
-    own check, and a file dataset is checked here, before any file is written."""
-    if cfg.data.task is not None:
-        return generate(cfg.data.task)
+    own check and is refused here if its rows exceed physical memory, and a
+    file dataset is checked here, before any file is written."""
+    task = cfg.data.task
+    if task is not None:
+        _refuse_past_memory(f"data.task.n_train+n_eval={task.n_train + task.n_eval}",
+                            (task.n_train + task.n_eval) * (task.seq_len + 1) * 8)
+        return generate(task)
     data = load_dir(cfg.data.path)
     for name, split in (("train", data.train), ("eval", data.eval)):
         _check_fits(split, os.path.join(cfg.data.path, f"{name}.jsonl"), cfg.encoder)
@@ -182,10 +207,8 @@ def scoring_batches(cfg: ExperimentConfig, dataset: TaskData) -> list[tuple]:
     rng = np.random.default_rng(cfg.prune.seed)
     n = len(dataset.train.labels)
     rows = min(cfg.optimizer.batch_size, n)
-    need = cfg.prune.score_batches * rows * (dataset.train.tokens.shape[1] + 1) * 8
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ValueError(f"prune.score_batches={cfg.prune.score_batches} asks for {need} "
-                         f"bytes of scoring batches, more than physical memory")
+    _refuse_past_memory(f"prune.score_batches={cfg.prune.score_batches}",
+                        cfg.prune.score_batches * rows * (dataset.train.tokens.shape[1] + 1) * 8)
     batches = []
     for _ in range(cfg.prune.score_batches):
         idx = rng.choice(n, size=rows, replace=False)
@@ -199,15 +222,6 @@ def make_mask(cfg: ExperimentConfig, model: Model, dataset: TaskData, cpus: int)
     batches = scoring_batches(cfg, dataset) if cfg.prune.method in ("snip", "grasp") else ()
     return compute_mask(model, cfg.prune.method, cfg.prune.s, cfg.prune.seed,
                         batches=batches, snip_abs=cfg.prune.snip_abs, cpus=cpus)
-
-
-def resolve_out(flag_value: str | None, cfg: ExperimentConfig) -> str:
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return env
-    if flag_value:
-        return flag_value
-    return cfg.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +389,7 @@ def main(argv=None) -> int:
     config.add_argument("--config", required=True, help="path to experiment JSON")
     run = argparse.ArgumentParser(add_help=False, parents=[config])
     run.add_argument("--out", default=None,
-                     help=f"output directory (env {OUT_ENV_VAR} overrides)")
+                     help="output directory (default: the config's output_dir)")
     run.add_argument("--seed", type=int, default=None,
                      help="override model/prune/shuffle seeds with one value")
 
@@ -412,7 +426,7 @@ def main(argv=None) -> int:
             return 0
         if args.seed is not None:
             cfg = _map_seeds(cfg, lambda _: args.seed)
-        out_dir = resolve_out(args.out, cfg)
+        out_dir = args.out or cfg.output_dir
         if args.command == "prune":
             cmd_prune(cfg, out_dir)
         elif args.command == "train":

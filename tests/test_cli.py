@@ -19,7 +19,7 @@ from sparseadapter.autodiff import NumericError
 from sparseadapter.cli import (DataConfig, ExperimentConfig, cmd_sweep, load_config,
                                main, parse_config, serialize_config)
 from sparseadapter.data import SyntheticTaskSpec
-from sparseadapter.model import EncoderConfig
+from sparseadapter.model import EncoderConfig, save_checkpoint
 from sparseadapter.pruning import PruneConfig
 from sparseadapter.training import OptimizerConfig
 
@@ -68,6 +68,15 @@ def test_unknown_keys_rejected(tmp_path):
     payload["optimizer"]["momentum"] = 0.9
     with pytest.raises(ValueError, match="optimizer"):
         parse_config(payload)
+
+
+def test_config_naming_a_removed_adapter_field_is_an_error_line(tmp_path, capsys):
+    config = write_config(tmp_path, adapter={"variant": "lora", "r": 4,
+                                             "lora_zero_b": True})
+    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config.adapter: unknown keys ['lora_zero_b']\n"
+    assert not (tmp_path / "p").exists()
 
 
 def test_data_requires_exactly_one_source(tmp_path):
@@ -361,13 +370,32 @@ def test_mask_model_mismatch_names_group(tmp_path, capsys):
     assert "layer0" in capsys.readouterr().err
 
 
-def test_env_var_overrides_out(tmp_path, monkeypatch):
+def test_checkpoint_of_another_width_names_the_group(tmp_path, capsys):
+    # every group name matches, but the r=4 adapters do not fit an r=8 model
+    path = str(tmp_path / "r4.sacp")
+    save_checkpoint(cli.build_model(parse_config(small_config(tmp_path))), path)
+    other = write_config(tmp_path, adapter={"variant": "houlsby", "r": 8})
+    assert main(["eval", "--config", other, "--checkpoint", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: group 'layer0.attn.adapter.down.weight': checkpoint "
+                          "shape (16, 4) != model shape (16, 8)")
+    assert err.count("\n") == 1
+
+
+def test_out_flag_is_where_the_files_go(tmp_path, monkeypatch):
+    # the environment variable that once outranked --out redirects nothing
     config = write_config(tmp_path)
-    env_out = str(tmp_path / "env_out")
-    monkeypatch.setenv("SPARSEADAPTER_OUT", env_out)
+    env_out = tmp_path / "env_out"
+    monkeypatch.setenv("SPARSEADAPTER_OUT", str(env_out))
     assert main(["prune", "--config", config, "--out", str(tmp_path / "flag")]) == 0
-    assert os.path.exists(os.path.join(env_out, "mask.sadm"))
-    assert not os.path.exists(os.path.join(str(tmp_path / "flag"), "mask.sadm"))
+    assert (tmp_path / "flag" / "mask.sadm").exists()
+    assert not env_out.exists()
+
+
+def test_without_out_the_files_go_to_output_dir(tmp_path):
+    config = write_config(tmp_path)
+    assert main(["prune", "--config", config]) == 0
+    assert os.listdir(tmp_path / "out") == ["mask.sadm"]
 
 
 def test_train_metrics_byte_identical_across_runs(tmp_path):
@@ -614,11 +642,72 @@ def test_dead_sweep_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
 
 
 def test_config_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
-    # numpy refuses the ~116 TiB embedding table before allocating any of it
+    # the ~116 TiB embedding table is refused from the config alone
     encoder = {**small_config(tmp_path)["encoder"], "vocab_size": 10**12}
     config = write_config(tmp_path, encoder=encoder)
     assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_param_count_is_the_built_models(tmp_path, variant):
+    # no two sizes alike, so that a size counted in place of another shows
+    encoder = {"vocab_size": 61, "d_model": 16, "n_heads": 4, "d_ff": 24,
+               "n_layers": 3, "max_seq_len": 13, "n_classes": 5}
+    cfg = parse_config(small_config(tmp_path, encoder=encoder, adapter={
+        "variant": variant, "r": 3, "prefix_len": 2}))
+    groups = cli.build_model(cfg).groups.values()
+    assert cli._param_count(cfg) == sum(g.tensor.size for g in groups)
+
+
+def physical_memory(monkeypatch, pages: int) -> None:
+    """Make the program see `pages` pages of 4 KiB as physical memory."""
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get(name) or sysconf(name))
+
+
+# with 16 pages (64 KiB) the small config's model (6,356 parameters, 50,848
+# bytes) and data (72 rows of 8 tokens and a label, 5,184 bytes) fit; each
+# case makes one size too big, and the error names the field that asks for it
+OVERSIZED = {  # pages, prune and data.task changes, the error line's start
+    "model": (1, {}, {},
+              "config.encoder with config.adapter (6356 parameters) asks for 50848 bytes"),
+    "data": (16, {}, {"n_train": 1000}, "data.task.n_train+n_eval=1024 asks for 73728 bytes"),
+    "score_batches": (16, {"method": "snip", "score_batches": 100}, {},
+                      "prune.score_batches=100 asks for 115200 bytes"),
+}
+
+
+@pytest.mark.parametrize("command,case", [("prune", "model"), ("prune", "data"),
+                                          ("prune", "score_batches"), ("train", "model"),
+                                          ("train", "data")])
+def test_sizes_past_physical_memory_are_refused_up_front(tmp_path, capsys, monkeypatch,
+                                                         command, case):
+    pages, prune, task, field = OVERSIZED[case]
+    payload = small_config(tmp_path)
+    payload["prune"].update(prune)
+    payload["data"]["task"].update(task)
+    config = str(tmp_path / "big.json")
+    with open(config, "w") as f:
+        json.dump(payload, f)
+    physical_memory(monkeypatch, pages)
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field}, more than physical memory\n"
+    assert not out.exists()
+
+
+def test_sweep_job_past_physical_memory_ends_the_sweep(tmp_path, capsys, monkeypatch):
+    # the forked worker sees the same patched memory and refuses its model
+    config = write_config(tmp_path)
+    physical_memory(monkeypatch, 1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--out", str(out), "--sweep-axis",
+                 "sparsity", "--values", "0.4", "--seeds", "1", "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: config.encoder with config.adapter ")
+    assert (out / "sweep.csv").read_text().splitlines()[-1].startswith(
+        "# aborted: ValueError: config.encoder with config.adapter ")
 
 
 @pytest.mark.parametrize("adapter", [

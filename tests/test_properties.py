@@ -141,7 +141,7 @@ def base_payload(data: dict) -> dict:
         "encoder": {"vocab_size": 60, "d_model": 16, "n_heads": 4, "d_ff": 32,
                     "n_layers": 2, "max_seq_len": 16, "n_classes": 4},
         "adapter": {"variant": "houlsby", "r": 4, "lora_alpha": 16.0,
-                    "prefix_len": 4, "gaussian_std": 0.01, "lora_zero_b": False},
+                    "prefix_len": 4, "gaussian_std": 0.01},
         "prune": {"method": "snip", "s": 0.4, "seed": 0, "snip_abs": False,
                   "score_batches": 1},
         "optimizer": {"beta1": 0.9, "beta2": 0.98, "weight_decay": 0.1,

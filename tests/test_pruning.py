@@ -380,6 +380,18 @@ def test_er_clamping_respected():
         assert s_g <= 1.0 - 1.0 / (n_in * n_out) + 1e-12
 
 
+def test_er_group_past_its_cap_is_pinned_and_the_rest_re_solved():
+    # the first solve asks 1.002 of the (10, 10) group, past its 0.99 cap; it is
+    # pinned there, and the (3, 3) group takes what is left of the budget
+    groups = [(10, 10), (3, 3), (2, 2)]
+    spars = er_sparsities(groups, 0.92)
+    assert spars[0] == pytest.approx(0.99, abs=1e-15)
+    assert spars[1] == pytest.approx(4.96 / 9, rel=1e-12)
+    assert spars[2] == 0.0      # factor 0: nothing of a (2, 2) group goes
+    kept = sum((1.0 - s_g) * n_in * n_out for s_g, (n_in, n_out) in zip(spars, groups))
+    assert kept == pytest.approx(0.08 * 113, rel=1e-12)
+
+
 def test_er_infeasible_raises():
     with pytest.raises(ValueError, match="infeasible"):
         er_sparsities([(2, 2)], 0.5)   # factor 0: nothing can be removed

@@ -74,6 +74,13 @@ def test_lr_step_beyond_total_rejected():
         lr_at(101, 100, quick_opt())
 
 
+def test_lr_when_warmup_is_every_step():
+    # ceil(0.1 * 1) = 1: the one step is the end of warmup, at the peak
+    cfg = quick_opt()
+    assert lr_at(0, 1, cfg) == 0.0
+    assert lr_at(1, 1, cfg) == cfg.peak_lr
+
+
 def test_lr_no_warmup():
     cfg = quick_opt(warmup_fraction=0.0)
     assert lr_at(0, 10, cfg) == pytest.approx(cfg.peak_lr)
