@@ -18,8 +18,12 @@ vjp or gradient sum tripped; each gradient, or each H v, is then checked once.
 A check of the results alone would miss an overflow that comes back finite, as
 ``xc * xc`` -> inf -> ``inf ** -0.5`` = 0 does in layer_norm's vjp.
 
-A vjp recomputes what it needs from its op's inputs and never holds the op's
-output, so a graph has no reference cycle and is freed as soon as it is dropped.
+A graph records nodes, not values. An op's `_Node` holds its parents' nodes and
+its vjp, and no value; a vjp closes over exactly the operands it reads through
+``ops.val``, recomputes the rest from them and never holds its own op's output.
+So a forward value that no vjp reads is freed as soon as the forward moves past
+it, a graph has no reference cycle, and the whole graph is freed as soon as it
+is dropped.
 
 Ownership rule: `_Arrays` has in-place twins (``mul_``, ``add_``, ...) that write
 into their first operand. A twin's first operand must be a temporary that its
@@ -95,14 +99,37 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+class _Node:
+    """One op of a graph: its id (its output's), its op name, its parents'
+    nodes, which of them took gradients when the op ran, and its vjp; or no
+    parents and no vjp when gradients were off. It holds no value: what a
+    backward reads, the vjp closes over."""
+
+    __slots__ = ("_id", "_op", "_parents", "_needs", "_vjp")
+
+    def __init__(self, id_: int, op: str, parents: tuple, needs: tuple,
+                 vjp: Callable | None):
+        self._id = id_
+        self._op = op
+        self._parents = parents
+        self._needs = needs
+        self._vjp = vjp
+
+
 class Tensor:
     """A dense float64 value, optionally participating in the gradient tape.
 
-    Tensors created by ops carry their parents and a vector-Jacobian closure;
-    leaves (parameters, constants) carry neither.
+    A tensor made by an op reaches that op's `_Node` through ``_node``. A leaf
+    (parameter, constant) is its own node, with the class's ``_op``,
+    ``_parents``, ``_needs`` and ``_vjp``; it stores no reference to itself,
+    so a leaf is never a reference cycle.
     """
 
-    __slots__ = ("data", "requires_grad", "_id", "_op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_id", "_made_by", "__weakref__")
+    _op = "leaf"
+    _parents: tuple = ()
+    _needs: tuple = ()
+    _vjp: Callable | None = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -111,9 +138,11 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._id = next(_next_id)
-        self._op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
+        self._made_by: _Node | None = None
+
+    @property
+    def _node(self) -> "Tensor | _Node":
+        return self if self._made_by is None else self._made_by
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -133,15 +162,18 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(op={self._op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+        return (f"Tensor(op={self._node._op!r}, shape={self.shape}, "
+                f"requires_grad={self.requires_grad})")
 
 
 def _from_op(op: str, parents: tuple[Tensor, ...], vjp: Callable, *consts) -> Tensor:
-    """The node of op `op` over `parents`, then `consts`. Its value comes from
+    """The output of op `op` over `parents`, then `consts`. Its value comes from
     the `_Arrays` function of that name. While an hvp's forward runs on this
     thread and a parent carries a tangent, the `_Duals` function of that name
-    gives the value and the node's tangent. Graph metadata is attached only
-    when gradients are live."""
+    gives the value and the output's tangent. The output's node records the
+    parents' nodes and `vjp` only when gradients are live. An output made
+    without them still gets a node, so that a graph it feeds holds that node
+    and not its value."""
     tangents = _tangents.table
     if tangents is None or not any(p._id in tangents for p in parents):
         data, tangent = getattr(_Arrays, op)(*[p.data for p in parents], *consts), None
@@ -154,15 +186,12 @@ def _from_op(op: str, parents: tuple[Tensor, ...], vjp: Callable, *consts) -> Te
     t = Tensor.__new__(Tensor)
     t.data = data
     t._id = next(_next_id)
-    t._op = op
-    if _grad_enabled.enabled and any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = parents
-        t._vjp = vjp
+    needs = tuple(p.requires_grad for p in parents)
+    t.requires_grad = _grad_enabled.enabled and any(needs)
+    if t.requires_grad:
+        t._made_by = _Node(t._id, op, tuple(p._node for p in parents), needs, vjp)
     else:
-        t.requires_grad = False
-        t._parents = ()
-        t._vjp = None
+        t._made_by = _Node(t._id, op, (), (), None)
     if tangent is not None:
         tangent = np.asarray(tangent, dtype=np.float64)
         if not _all_finite(tangent):
@@ -462,7 +491,9 @@ def _attention(ops, q, k, v, bsz: int, n_heads: int):
 # ---------------------------------------------------------------------------
 # Primitives. Each vjp(g, needs, ops) returns one gradient (or None) per
 # parent, computed with `ops` from g and from `ops.val` of the tensors it
-# closes over.
+# closes over, which are exactly the ones it reads. Which ones it reads can
+# depend on `needs`, the parents' requires_grad when the op ran, which the
+# node keeps: a leaf's requires_grad set after the op does not reach it.
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -479,9 +510,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
 
+    # each half reads the other operand, so keep an operand only if the other
+    # takes gradients
+    a_read, b_read = a if b.requires_grad else None, b if a.requires_grad else None
+
     def vjp(g, needs, ops):
-        return (ops.mul(g, ops.val(b)) if needs[0] else None,
-                ops.mul(g, ops.val(a)) if needs[1] else None)
+        return (ops.mul(g, ops.val(b_read)) if needs[0] else None,
+                ops.mul(g, ops.val(a_read)) if needs[1] else None)
 
     return _from_op("mul", (a, b), vjp)
 
@@ -504,9 +539,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
 
+    a_read, b_read = a if b.requires_grad else None, b if a.requires_grad else None
+
     def vjp(g, needs, ops):
-        return (ops.matmul(g, ops.swap_last2(ops.val(b))) if needs[0] else None,
-                ops.matmul(ops.swap_last2(ops.val(a)), g) if needs[1] else None)
+        return (ops.matmul(g, ops.swap_last2(ops.val(b_read))) if needs[0] else None,
+                ops.matmul(ops.swap_last2(ops.val(a_read)), g) if needs[1] else None)
 
     return _from_op("matmul", (a, b), vjp)
 
@@ -580,10 +617,11 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     axis = axis % parts[0].ndim
     sizes = [p.shape[axis] for p in parts]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n_parts = len(parts)    # the vjp reads no part, so it keeps their count only
 
     def vjp(g, needs, ops):
         return tuple(ops.slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
-                     if needs[i] else None for i in range(len(parts)))
+                     if needs[i] else None for i in range(n_parts))
 
     return _from_op("concat", tuple(parts), vjp, axis)
 
@@ -613,9 +651,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape}")
 
+    # a frozen w keeps w and not x: only g @ wᵀ is needed
+    x_read, w_read = x if w.requires_grad else None, w if x.requires_grad else None
+
     def vjp(g, needs, ops):
-        return (ops.matmul(g, ops.swap_last2(ops.val(w))) if needs[0] else None,
-                ops.matmul(ops.swap_last2(ops.val(x)), g) if needs[1] else None,
+        return (ops.matmul(g, ops.swap_last2(ops.val(w_read))) if needs[0] else None,
+                ops.matmul(ops.swap_last2(ops.val(x_read)), g) if needs[1] else None,
                 ops.tsum(g, axes=(0,)) if needs[2] else None)
 
     return _from_op("affine", (x, w, b), vjp)
@@ -699,6 +740,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
                          f"beta {beta.shape}")
     d = x.shape[-1]
     lead = tuple(range(x.ndim - 1))
+    gamma_read = gamma if x.requires_grad else None     # only x's gradient reads it
 
     def vjp(g, needs, ops):
         # y = (x - mean) / std, recomputed through ops so that hvp sees it
@@ -711,7 +753,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gx = ggamma = gbeta = None
         if needs[0]:
             gamma_wide = ops.broadcast_to(
-                ops.reshape(ops.val(gamma), (1,) * len(lead) + (d,)), x.shape)
+                ops.reshape(ops.val(gamma_read), (1,) * len(lead) + (d,)), x.shape)
             gy = ops.mul(g, gamma_wide)
             mean_gy = ops.scale_(ops.tsum(gy, axes=(-1,), keepdims=True), 1.0 / d)
             mean_gyy = ops.scale_(ops.tsum(ops.mul(gy, y), axes=(-1,), keepdims=True),
@@ -749,21 +791,23 @@ def gelu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Tape:
-    """Ordered record of the primitive ops behind an output tensor.
+    """Ordered record of the graph nodes behind an output tensor: a `_Node`
+    per op, and each leaf as itself.
 
     Node creation ids are monotone, so ascending-id order is a topological
     order: every op's inputs precede it.
     """
 
-    def __init__(self, nodes: list[Tensor]):
+    def __init__(self, nodes: list[_Node | Tensor]):
         self.nodes = nodes
 
     @classmethod
     def from_output(cls, out: Tensor) -> "Tape":
-        """Every node reachable from `out` through parents, `out` included."""
+        """Every node reachable from `out`'s node through parents, that node
+        included."""
         seen = {out._id}
-        nodes = [out]
-        stack = [out]
+        nodes = [out._node]
+        stack = [out._node]
         while stack:
             for p in stack.pop()._parents:
                 if p._id not in seen:
@@ -792,9 +836,8 @@ def _run_vjps(loss: Tensor, params: Mapping[str, Tensor], ops, seed) -> dict:
                 result[name] = g
             if node._vjp is None:
                 continue
-            needs = tuple(p.requires_grad for p in node._parents)
             try:
-                for parent, pg in zip(node._parents, node._vjp(g, needs, ops)):
+                for parent, pg in zip(node._parents, node._vjp(g, node._needs, ops)):
                     if pg is None:
                         continue
                     acc = grads.get(parent._id)

@@ -1,6 +1,7 @@
-"""Read-outs of a training run that `train` does not return: the backbone's
-bytes and the optimizer state it ended with."""
+"""Read-outs that a run does not return: the backbone's bytes, the optimizer
+state a training run ended with, and the values a forward made."""
 
+from sparseadapter import autodiff as ad
 from sparseadapter import training
 
 
@@ -24,3 +25,19 @@ def keep_adam_states(monkeypatch) -> list:
 
     monkeypatch.setattr(training, "masked_adam_step", keeping)
     return states
+
+
+def keep_op_outputs(monkeypatch) -> list:
+    """Patch `autodiff._from_op` to keep every Tensor an engine op makes. The
+    list gets each op's output in the order the ops ran, and keeps it alive
+    for the test to read: a graph keeps only the values its vjps read."""
+    outputs = []
+    from_op = ad._from_op
+
+    def keeping(*args):
+        out = from_op(*args)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_from_op", keeping)
+    return outputs

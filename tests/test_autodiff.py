@@ -9,6 +9,7 @@ import itertools
 import sys
 import threading
 import warnings
+import weakref
 import zlib
 
 import numpy as np
@@ -18,6 +19,7 @@ import sparseadapter.autodiff as ad
 from sparseadapter.adapters import AdapterSpec, insert_adapters
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
 from oracles import composed_forward, fd_gradient, fd_hvp, random_small_net, rel_err
+from probes import keep_op_outputs
 
 
 def check_grad(loss_fn, params, tol=1e-6, eps=1e-5):
@@ -140,15 +142,59 @@ def test_primitive_gradients(case):
         assert rel_err(hv[k].data, fd[k]) < 1e-4, k
 
 
-def test_vjps_read_exactly_the_declared_parents():
+def _closed_over(fn) -> set:
+    """The node ids of the tensors a closure holds, directly or in a tuple or
+    list."""
+    held = set()
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        for x in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(x, ad.Tensor):
+                held.add(x._id)
+    return held
+
+
+def test_vjps_read_exactly_the_declared_parents(monkeypatch):
+    # each vjp closes over exactly the tensors of the forward that its
+    # backward reads through ops.val (take_rows' vjp makes its own one-hot),
+    # for every set of parameters that take gradients, so a graph keeps no
+    # value alive that no vjp reads
+    reads, running, backward_from = {}, [None], [0]
+    val = ad._Arrays.val
+
+    def reading(t):
+        if t._id < backward_from[0]:
+            reads[running[0]].add(t._id)
+        return val(t)
+
+    def recording(vjp, node_id):
+        def run(g, needs, ops):
+            running[0] = node_id
+            reads[node_id] = set()
+            return vjp(g, needs, ops)
+        return run
+
+    monkeypatch.setattr(ad._Arrays, "val", reading)
     for case in PRIMITIVE_CASES:
         fn, p, _ = _primitive_case(case)
-        for node in ad.Tape.from_output(fn(p)).nodes:
-            if node._vjp is None:
-                continue
-            # each node is named after the autodiff function that made it
-            assert inspect.isfunction(getattr(ad, node._op, None)) and \
-                node._vjp.__qualname__ == f"{node._op}.<locals>.vjp", (case, node._op)
+        for n_live in range(1, len(p) + 1):
+            for live in itertools.combinations(p, n_live):
+                for name, t in p.items():
+                    t.requires_grad = name in live
+                loss = fn(p)
+                held = {}
+                for node in ad.Tape.from_output(loss).nodes:
+                    if node._vjp is None:
+                        continue
+                    # each node is named after the autodiff function that made it
+                    assert inspect.isfunction(getattr(ad, node._op, None)) and \
+                        node._vjp.__qualname__ == f"{node._op}.<locals>.vjp", (case, node._op)
+                    held[node._id] = _closed_over(node._vjp)
+                    node._vjp = recording(node._vjp, node._id)
+                reads.clear()
+                backward_from[0] = next(ad._next_id)
+                ad.backward(loss, p)
+                assert reads == held, (case, live)
 
 
 # The operand shapes, then the constants, of one call of each `_Duals` function
@@ -420,39 +466,98 @@ def test_array_backend_matches_engine_bitwise(variant, frozen):
 
 @pytest.mark.parametrize("frozen", [True, False])
 @pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
-def test_first_order_backward_leaves_node_values_alone(variant, frozen):
-    # the in-place twins may write only into temporaries a vjp made itself
+def test_first_order_backward_leaves_node_values_alone(variant, frozen, monkeypatch):
+    # the in-place twins may write only into temporaries a vjp made itself;
+    # every op output and every parameter keeps its bytes
     m = _encoder(variant, frozen)
     params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    outputs = keep_op_outputs(monkeypatch)
     loss = m.loss(*_batch(61))
-    nodes = ad.Tape.from_output(loss).nodes
-    before = [t.data.tobytes() for t in nodes]
+    values = outputs + [g.tensor for g in m.groups.values()]
+    before = [t.data.tobytes() for t in values]
     ad.backward(loss, params)
-    assert [t.data.tobytes() for t in nodes] == before
+    assert [t.data.tobytes() for t in values] == before
     with pytest.raises(ValueError, match="read-only"):
         ad._Arrays.mul_(ad._Arrays.val(loss), 2.0)
 
 
 @pytest.mark.parametrize("frozen", [True, False])
 @pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
-def test_hvp_leaves_forward_values_alone(variant, frozen):
-    # the forward of an hvp gives each node the bits of a plain forward, and
-    # its backward over pairs writes into none of them
+def test_hvp_leaves_forward_values_alone(variant, frozen, monkeypatch):
+    # the forward of an hvp gives each op output the bits of a plain forward,
+    # and its backward over pairs writes into none of them
     m = _encoder(variant, frozen)
     params = {n: g.tensor for n, g in m.trainable_groups().items()}
     batch = _batch(61)
     rng = np.random.default_rng(61)
     v = {k: ad.Tensor(rng.uniform(-1, 1, t.shape)) for k, t in params.items()}
-    plain = [t.data.tobytes() for t in ad.Tape.from_output(m.loss(*batch)).nodes]
-    nodes = []
+    outputs = keep_op_outputs(monkeypatch)
+    m.loss(*batch)
+    plain = [t.data.tobytes() for t in outputs]
+    outputs.clear()
+    ad.hvp(lambda p: m.loss(*batch), params, v)
+    assert [t.data.tobytes() for t in outputs] == plain
 
-    def loss_fn(p):
-        loss = m.loss(*batch)
-        nodes.extend(ad.Tape.from_output(loss).nodes)
-        return loss
 
-    ad.hvp(loss_fn, params, v)
-    assert [t.data.tobytes() for t in nodes] == plain
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("variant", ["houlsby", "pfeiffer", "lora", "mam"])
+def test_loss_keeps_alive_only_the_values_a_backward_reads(variant, frozen, monkeypatch):
+    # a graph holds no value itself: once the loss is made, the op outputs
+    # still alive are the loss and those some vjp reads through ops.val; the
+    # cycle collector is off, so none of them is freed by it
+    m = _encoder(variant, frozen)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    made, read = [], set()
+    from_op, val = ad._from_op, ad._Arrays.val
+
+    def weakly(*args):
+        out = from_op(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    def reading(t):
+        read.add(id(t))
+        return val(t)
+
+    monkeypatch.setattr(ad, "_from_op", weakly)
+    monkeypatch.setattr(ad._Arrays, "val", reading)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = m.loss(*_batch(61))
+        alive = {id(t) for t in (ref() for ref in made) if t is not None}
+        ad.backward(loss, params)
+    finally:
+        gc.enable()
+    assert len(made) > len(alive)
+    assert alive == {id(loss)} | (read & alive)
+
+
+def test_requires_grad_set_after_the_op_does_not_reach_its_graph():
+    # a node keeps which parents took gradients when its op ran, and the vjp
+    # keeps only the operands those gradients read: affine under a frozen w
+    # kept w and not x
+    rng = np.random.default_rng(79)
+    x = ad.Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
+    w = ad.Tensor(rng.uniform(-1, 1, (5, 4)))
+    b = ad.Tensor(np.zeros(4))
+    want = ad.backward(ad.tsum(ad.affine(x, w, b)), {"x": x})["x"].data.tobytes()
+    loss = ad.tsum(ad.affine(x, w, b))
+    w.requires_grad = True
+    grads = ad.backward(loss, {"x": x, "w": w})
+    assert grads["x"].data.tobytes() == want
+    assert not grads["w"].data.any()
+
+
+def test_backward_twice_over_one_loss_gives_the_same_bytes():
+    # a backward keeps every vjp, so the graph can run again
+    for variant in ("houlsby", "pfeiffer", "lora", "mam"):
+        m = _encoder(variant, True)
+        params = {n: g.tensor for n, g in m.trainable_groups().items()}
+        loss = m.loss(*_batch(73))
+        first, second = ad.backward(loss, params), ad.backward(loss, params)
+        for name in params:
+            assert first[name].data.tobytes() == second[name].data.tobytes(), (variant, name)
 
 
 @pytest.mark.parametrize("frozen", [True, False])
@@ -609,23 +714,33 @@ def test_tape_is_topological():
         for parent in node._parents:
             assert parent._id in seen, "op input does not precede it"
         seen.add(node._id)
-    assert tape.nodes[-1] is loss
+    assert tape.nodes[-1] is loss._node
 
 
 def test_graph_is_freed_without_the_cycle_collector():
     # a vjp that closed over its own op's output would make each graph a
-    # reference cycle, alive until the cyclic collector runs
-    def live_tensors():
-        return sum(isinstance(o, ad.Tensor) for o in gc.get_objects())
+    # reference cycle, alive until the cyclic collector runs; so would a leaf
+    # that stored itself as its own node
+    def live_graph_objects():
+        return sum(isinstance(o, (ad.Tensor, ad._Node)) for o in gc.get_objects())
 
     w = ad.Tensor(np.full((2, 3), 0.1), requires_grad=True)
+    m = _encoder("mam", True)
+    params = {n: g.tensor for n, g in m.trainable_groups().items()}
+    batch = _batch(67)
+    ad.backward(m.loss(*batch), params)
     gc.collect()
     gc.disable()
     try:
         for op in (ad.tanh, ad.softmax_last):
-            before = live_tensors()
+            before = live_graph_objects()
             op(w)
-            assert live_tensors() == before, op.__name__
+            assert live_graph_objects() == before, op.__name__
+        before = live_graph_objects()
+        ad.Tensor(np.zeros(3))
+        assert live_graph_objects() == before, "leaf"
+        ad.backward(m.loss(*batch), params)
+        assert live_graph_objects() == before, "Model.loss and backward"
     finally:
         gc.enable()
 
