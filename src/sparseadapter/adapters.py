@@ -29,6 +29,7 @@ from .model import Model
 VARIANTS = ("houlsby", "pfeiffer", "lora", "mam")
 
 PREFIX_INIT_STD = 0.5  # prefix vectors act as extra key/value rows, so O(1) scale
+LORA_ALPHA = 16.0      # LoRA's alpha (Hu et al., 2022): a delta is scaled by alpha/r
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class AdapterSpec:
 
     variant: str = "houlsby"
     r: int = 64
-    lora_alpha: float = 16.0
     prefix_len: int = 4
     gaussian_std: float = 1e-2
 
@@ -89,7 +89,7 @@ class BottleneckAdapter:
     """Bottleneck delta W_up . gelu(W_down . x + b_down) + b_up, times `scale`.
 
     A serial site applies it to `base`; a ``parallel`` site (mam) applies it to
-    the block input `x` and is scaled like LoRA by alpha/r.
+    the block input `x` and is scaled like LoRA by LORA_ALPHA/r.
     """
 
     def __init__(self, down_w: Tensor, down_b: Tensor, up_w: Tensor, up_b: Tensor,
@@ -111,12 +111,12 @@ class BottleneckAdapter:
 
 
 class LoraProjection:
-    """(alpha/r) * x @ A @ B beside one attention projection of x."""
+    """(LORA_ALPHA/r) * x @ A @ B beside one attention projection of x."""
 
-    def __init__(self, a: Tensor, b: Tensor, alpha: float, r: int):
+    def __init__(self, a: Tensor, b: Tensor, r: int):
         self.a = a
         self.b = b
-        self.scaling = alpha / r
+        self.scaling = LORA_ALPHA / r
 
     def delta(self, x: Tensor) -> Tensor:
         return ad.scale(ad.matmul(ad.matmul(x, self.a), self.b), self.scaling)
@@ -170,8 +170,7 @@ def _add_lora(model: Model, rng: np.random.Generator, proj: str,
                         prunable=True, adapter=True)
     b = model.add_group(f"{proj}.lora.B", rng.normal(0.0, spec.gaussian_std, (r, d)),
                         prunable=True, adapter=True)
-    model.adapter_sites[f"{proj}.lora"] = LoraProjection(a.tensor, b.tensor,
-                                                         spec.lora_alpha, r)
+    model.adapter_sites[f"{proj}.lora"] = LoraProjection(a.tensor, b.tensor, r)
 
 
 def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
@@ -193,7 +192,7 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> None:
             _add_lora(model, rng, f"{pre}.attn.v", spec)
         elif spec.variant == "mam":
             _add_bottleneck(model, rng, f"{pre}.ffn.adapter", spec, parallel=True,
-                            scale=spec.lora_alpha / spec.r)
+                            scale=LORA_ALPHA / spec.r)
             key = model.add_group(f"{pre}.attn.prefix.key",
                                   rng.normal(0.0, PREFIX_INIT_STD,
                                              (spec.prefix_len, model.cfg.d_model)),

@@ -39,7 +39,6 @@ class SyntheticTaskSpec:
     n_classes: int = 4
     n_train: int = 512
     n_eval: int = 256
-    noise_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class SyntheticTaskSpec:
             raise ValueError("vocab too small for marker and key tokens")
         if self.seq_len < 2 or self.n_train < 1 or self.n_eval < 1:
             raise ValueError("seq_len must be >= 2 and split sizes >= 1")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
 
 
 @dataclass
@@ -122,9 +119,6 @@ def generate(spec: SyntheticTaskSpec) -> TaskData:
         raise ValueError(f"{spec}: found {i} distinct rows in "
                          f"{MAX_DRAWS_PER_ROW * total} draws, needs n_train + n_eval "
                          f"= {total}; raise vocab or seq_len, or lower the split sizes")
-    if spec.noise_rate > 0:
-        flip = rng.random(total) < spec.noise_rate
-        labels[flip] = rng.integers(spec.n_classes, size=int(np.sum(flip)))
     return TaskData(train=Split(rows[:spec.n_train], labels[:spec.n_train]),
                     eval=Split(rows[spec.n_train:], labels[spec.n_train:]))
 

@@ -35,6 +35,9 @@ from .parallel import available_cpus, uses_threads
 from .pruning import PruneMask
 
 ADAM_EPS = 1e-8
+BETA1, BETA2 = 0.9, 0.98
+WEIGHT_DECAY = 0.1
+WARMUP_FRACTION = 0.10
 
 
 class TrainingDiverged(ad.NumericError):
@@ -52,11 +55,7 @@ class TrainingDiverged(ad.NumericError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    weight_decay: float = 0.1
     peak_lr: float = 1e-3
-    warmup_fraction: float = 0.10
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
@@ -64,23 +63,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be > 0")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        for name in ("beta1", "beta2"):     # 1 - beta**t is 0 at beta = 1
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 def lr_at(step: int, total_steps: int, cfg: OptimizerConfig) -> float:
-    """Linear 0 -> peak over the first ceil(warmup_fraction * total) steps,
+    """Linear 0 -> peak over the first ceil(WARMUP_FRACTION * total) steps,
     then linear decay to 0 at total_steps."""
     if step > total_steps:
         raise ValueError(f"step {step} > total_steps {total_steps}")
-    warmup = math.ceil(cfg.warmup_fraction * total_steps)
+    warmup = math.ceil(WARMUP_FRACTION * total_steps)
     if warmup > 0 and step < warmup:
         return cfg.peak_lr * step / warmup
     if total_steps == warmup:
@@ -101,23 +93,22 @@ class AdamState:
 
 
 def masked_adam_step(params, grads: dict[str, np.ndarray],
-                     mask: PruneMask | None, state: AdamState,
-                     cfg: OptimizerConfig, lr: float) -> None:
+                     mask: PruneMask | None, state: AdamState, lr: float) -> None:
     """One AdamW step over the trainable groups; masked slots stay exactly
     zero if they start at zero, as `apply_mask` and `AdamState.for_params`
     leave them.
 
     Each masked group's gradient is multiplied by the mask's `keep` array, so
     a masked slot sees g = +-0.0. Then m and v stay +0.0 there (+0.0 plus
-    (1 - beta1) * -0.0 is +0.0, and g * g is +0.0), the update is +0.0 (weight
+    (1 - BETA1) * -0.0 is +0.0, and g * g is +0.0), the update is +0.0 (weight
     decay of a zero weight included) and so is w. A masked slot that starts
     nonzero is not re-zeroed. `params` is a mapping name -> ParamGroup
     (trainable only); `grads` holds plain arrays of matching shapes.
     """
     keep = {} if mask is None else mask.keep
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, pg in params.items():
         g = grads[name]
         w = pg.tensor.data
@@ -127,18 +118,18 @@ def masked_adam_step(params, grads: dict[str, np.ndarray],
             g = g * keep[name]
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + cfg.weight_decay * w
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + WEIGHT_DECAY * w
         w -= lr * update
         if not np.all(np.isfinite(w)):
             raise ad.NumericError(f"non-finite update for group '{name}'")
 
 
 def _train_step(model: Model, params, tokens: np.ndarray, labels: np.ndarray,
-                state: AdamState, cfg: OptimizerConfig, lr: float) -> tuple[float, float]:
+                state: AdamState, lr: float) -> tuple[float, float]:
     """Forward, backward and AdamW step on one batch; the batch's loss and
     accuracy. Only plain numbers leave, so the step's graph is freed when
     the call returns, before the next step's forward builds its own."""
@@ -146,7 +137,7 @@ def _train_step(model: Model, params, tokens: np.ndarray, labels: np.ndarray,
     loss = ad.cross_entropy_logits(logits, labels)
     grads = ad.backward(loss, {n: p.tensor for n, p in params.items()})
     masked_adam_step(params, {n: g.data for n, g in grads.items()}, model.mask,
-                     state, cfg, lr)
+                     state, lr)
     return loss.item(), float(np.mean(np.argmax(logits.data, axis=1) == labels))
 
 
@@ -310,7 +301,7 @@ def train(model: Model, dataset, cfg: OptimizerConfig, *, evals_per_epoch: int =
                         # raises NumericError, reported below with the step number
                         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                             loss, acc = _train_step(model, params, tokens, labels,
-                                                    state, cfg, lr)
+                                                    state, lr)
                     except ad.NumericError as exc:
                         evals.drain()       # an earlier eval's divergence comes first
                         raise TrainingDiverged(step, exc) from exc

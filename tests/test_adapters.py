@@ -6,7 +6,7 @@ import pytest
 
 import sparseadapter.autodiff as ad
 from sparseadapter.adapters import (AdapterSpec, BottleneckAdapter,
-                                    LargeSparseConfig, LoraProjection,
+                                    LORA_ALPHA, LargeSparseConfig, LoraProjection,
                                     insert_adapters, kept_param_fraction)
 from sparseadapter.autodiff import GELU_C0, GELU_C1, Tensor
 from sparseadapter.model import EncoderConfig, build_encoder, freeze_backbone
@@ -152,15 +152,14 @@ def test_bottleneck_site_picks_what_it_reads(parallel):
 
 def test_lora_matches_reference_and_is_linear():
     rng = np.random.default_rng(3)
-    d, r, alpha = 10, 3, 16.0
+    d, r = 10, 3
     base_w = rng.normal(0, 0.2, (d, d))
     base_b = rng.normal(0, 0.2, d)
     A = rng.normal(0, 0.2, (d, r))
     B = rng.normal(0, 0.2, (r, d))
-    proj = LoraProjection(Tensor(A, requires_grad=True), Tensor(B, requires_grad=True),
-                          alpha, r)
+    proj = LoraProjection(Tensor(A, requires_grad=True), Tensor(B, requires_grad=True), r)
     x = rng.normal(0, 1, (6, d))
-    expected = x @ base_w + base_b + (alpha / r) * (x @ A @ B)
+    expected = x @ base_w + base_b + (LORA_ALPHA / r) * (x @ A @ B)
     out = proj(ad.affine(Tensor(x), Tensor(base_w), Tensor(base_b)), Tensor(x))
     assert np.max(np.abs(out.data - expected)) < 1e-12
 

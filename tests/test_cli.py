@@ -70,12 +70,24 @@ def test_unknown_keys_rejected(tmp_path):
         parse_config(payload)
 
 
-def test_config_naming_a_removed_adapter_field_is_an_error_line(tmp_path, capsys):
-    config = write_config(tmp_path, adapter={"variant": "lora", "r": 4,
-                                             "lora_zero_b": True})
-    assert main(["prune", "--config", config, "--out", str(tmp_path / "p")]) == 1
+@pytest.mark.parametrize("section,key,value", [
+    ("adapter", "lora_zero_b", True), ("adapter", "lora_alpha", 16.0),
+    ("optimizer", "beta1", 0.9), ("optimizer", "beta2", 0.98),
+    ("optimizer", "weight_decay", 0.1), ("optimizer", "warmup_fraction", 0.1),
+    ("data.task", "noise_rate", 0.0),
+])
+def test_config_naming_a_removed_field_is_an_error_line(tmp_path, capsys, section, key,
+                                                        value):
+    payload = small_config(tmp_path)
+    node = payload
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert main(["prune", "--config", str(config), "--out", str(tmp_path / "p")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: config.adapter: unknown keys ['lora_zero_b']\n"
+    assert err == f"error: config.{section}: unknown keys ['{key}']\n"
     assert not (tmp_path / "p").exists()
 
 
@@ -95,17 +107,13 @@ def test_defaults_fill_in(tmp_path):
     del payload["prune"]
     cfg = parse_config(payload)
     assert cfg.prune.method == "snip"
-    assert cfg.optimizer.beta1 == 0.9
-    assert cfg.optimizer.beta2 == 0.98
-    assert cfg.optimizer.weight_decay == 0.1
-    assert cfg.optimizer.warmup_fraction == 0.10
 
 
 @pytest.mark.parametrize("cls,valid,bad", [
     (EncoderConfig, {}, {"d_model": 0}),
     (AdapterSpec, {}, {"variant": "nope"}),
     (PruneConfig, {}, {"s": 1.0}),
-    (OptimizerConfig, {}, {"beta1": 1.0}),
+    (OptimizerConfig, {}, {"peak_lr": 0.0}),
     (SyntheticTaskSpec, {}, {"n_classes": 1}),
     (DataConfig, {"path": "data"}, {"task": SyntheticTaskSpec()}),
     (ExperimentConfig, {"data": DataConfig(path="data")}, {"seed": -1}),
@@ -596,17 +604,6 @@ def test_a_failed_move_leaves_the_earlier_file_and_no_temporary(tmp_path, capsys
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", 2.0),
-                                       ("beta1", -0.5), ("weight_decay", -0.5)])
-def test_bad_adam_hyperparameter_is_an_error_line(tmp_path, capsys, key, value):
-    # beta = 1 zeroes Adam's bias correction: a config error, not a divergence
-    optimizer = {"peak_lr": 1e-3, "epochs": 1, "batch_size": 16, "seed": 0, key: value}
-    config = write_config(tmp_path, optimizer=optimizer)
-    assert main(["train", "--config", config, "--out", str(tmp_path / "t")]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {key} must be " + ("in [0, 1)\n" if "beta" in key else ">= 0\n")
-
-
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_divergence_exit_code(tmp_path, capsys, workers):
     config = write_config(
@@ -712,7 +709,7 @@ def test_sweep_job_past_physical_memory_ends_the_sweep(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("adapter", [
     {"variant": "houlsby", "r": 4, "gaussian_std": 1e200},
-    {"variant": "lora", "r": 4, "lora_alpha": 1e308},
+    {"variant": "lora", "r": 4, "gaussian_std": 1e200},
 ])
 def test_non_finite_scoring_exit_code(tmp_path, capsys, adapter):
     config = write_config(tmp_path, adapter=adapter,

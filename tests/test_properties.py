@@ -133,20 +133,17 @@ def test_any_bytes_as_mask(blob, scratch):
 # ---------------------------------------------------------------------------
 
 TASK = {"task": "token_majority", "vocab": 60, "seq_len": 8, "n_classes": 4,
-        "n_train": 48, "n_eval": 24, "noise_rate": 0.0, "seed": 0}
+        "n_train": 48, "n_eval": 24, "seed": 0}
 
 
 def base_payload(data: dict) -> dict:
     return {
         "encoder": {"vocab_size": 60, "d_model": 16, "n_heads": 4, "d_ff": 32,
                     "n_layers": 2, "max_seq_len": 16, "n_classes": 4},
-        "adapter": {"variant": "houlsby", "r": 4, "lora_alpha": 16.0,
-                    "prefix_len": 4, "gaussian_std": 0.01},
+        "adapter": {"variant": "houlsby", "r": 4, "prefix_len": 4, "gaussian_std": 0.01},
         "prune": {"method": "snip", "s": 0.4, "seed": 0, "snip_abs": False,
                   "score_batches": 1},
-        "optimizer": {"beta1": 0.9, "beta2": 0.98, "weight_decay": 0.1,
-                      "peak_lr": 1e-3, "warmup_fraction": 0.1, "epochs": 1,
-                      "batch_size": 16, "seed": 0},
+        "optimizer": {"peak_lr": 1e-3, "epochs": 1, "batch_size": 16, "seed": 0},
         "data": data,
         "output_dir": "out",
         "seed": 0,
@@ -273,7 +270,7 @@ def overwritten(valid: bytes):
 @settings(deadline=None, max_examples=300)
 @given(leaf=st.sampled_from(CLI_LEAVES), text=JSON_VALUES.map(json.dumps))
 @example(leaf=("encoder", "d_model"), text=DEEP)
-@example(leaf=("optimizer", "beta2"), text="1.0")
+@example(leaf=("prune", "s"), text="1.0")
 @example(leaf=("prune", "seed"), text="9223372036854775808")
 @example(leaf=("adapter", "variant"), text=json.dumps("a\nb"))
 def test_prune_exit_code_for_any_config_value(leaf, text, scratch):
